@@ -26,6 +26,7 @@ from .structure import (
     Classification,
     CycleWitness,
     check_bouquet,
+    check_bouquet_around,
     check_property_vprime,
     classify_intersecting_family,
     common_neighbor_max,
@@ -88,6 +89,7 @@ __all__ = [
     "Classification",
     "CycleWitness",
     "check_bouquet",
+    "check_bouquet_around",
     "check_property_vprime",
     "classify_intersecting_family",
     "common_neighbor_max",

@@ -24,7 +24,7 @@ from .algorithms import (
     spencer_set,
 )
 from .core import read_file, write_file
-from .errors import HyperindError
+from .errors import HyperindError, InvalidArguments
 from .generators import (
     gen_disjoint_cliques,
     gen_girth5,
@@ -40,6 +40,19 @@ from .structure import (
     find_linear_three_cycles,
     list_two_cycles,
 )
+
+
+def _int_map(text: str, flag: str) -> dict[int, int]:
+    """Parse a JSON object of integer keys and values, e.g. '{"2": 10}'."""
+    try:
+        out = {int(i): c for i, c in json.loads(text).items()}
+    except (ValueError, AttributeError):  # not JSON, not an object, or a bad key
+        out = None
+    if out is None or any(type(c) is not int for c in out.values()):
+        raise InvalidArguments(
+            f'{flag} must be a JSON object of integers such as {{"2": 10}}, got {text!r}'
+        )
+    return out
 
 
 def _cmd_gen(args) -> int:
@@ -60,9 +73,9 @@ def _cmd_gen(args) -> int:
     else:
         if args.counts is None:
             raise HyperindError("bouquet needs --counts")
-        counts = {int(i): int(c) for i, c in json.loads(args.counts).items()}
+        counts = _int_map(args.counts, "--counts")
         caps = (
-            {int(i): int(c) for i, c in json.loads(args.vertex_caps).items()}
+            _int_map(args.vertex_caps, "--vertex-caps")
             if args.vertex_caps
             else None
         )

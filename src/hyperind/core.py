@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -68,17 +69,30 @@ class LayeredHypergraph:
         Raises
         ------
         InvalidUniformity : len(vertices) outside 2..k or repeated vertices
-        InvalidVertex : any id outside 0..n-1
+        InvalidVertex : any id that is a bool, not an integer, or outside
+            0..n-1
+
+        Every check runs before the first write, so a rejected edge leaves
+        the graph unchanged.
         """
-        edge = tuple(sorted(vertices))
+        try:
+            edge = tuple(sorted(vertices))
+        except TypeError:  # ids that do not compare with each other
+            edge = tuple(vertices)
         size = len(edge)
         if size < 2 or size > self.k:
             raise InvalidUniformity(f"edge size {size} outside 2..{self.k}")
-        if len(set(edge)) != size:
-            raise InvalidUniformity(f"repeated vertex in edge {vertices}")
+        # fast path: plain ints strictly increasing from 0 up, so no repeats;
+        # any other id type, a repeat or a negative id takes the checked path
+        prev = -1
         for v in edge:
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            if type(v) is not int or v <= prev:
+                edge = self._checked_edge(edge)
+                break
+            prev = v
+        else:
+            if prev >= self.n:
+                raise InvalidVertex(f"vertex {prev} outside 0..{self.n - 1}")
         if edge in self._edge_sets[size]:
             return False
         self._edge_sets[size].add(edge)
@@ -87,6 +101,23 @@ class LayeredHypergraph:
         for v in edge:
             self.incidence[v].append((size, idx))
         return True
+
+    def _checked_edge(self, edge) -> Edge:
+        """The sorted tuple of plain int ids of an edge, or the error."""
+        ids = []
+        for v in edge:
+            if isinstance(v, bool):
+                raise InvalidVertex(f"vertex id {v!r} is a bool, not an integer")
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise InvalidVertex(f"vertex id {v!r} is not an integer") from None
+            if not (0 <= v < self.n):
+                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            ids.append(v)
+        if len(set(ids)) != len(ids):
+            raise InvalidUniformity(f"repeated vertex in edge {edge}")
+        return tuple(sorted(ids))
 
     def pop_edge(self, layer: int) -> Edge:
         """Remove and return the most recently added edge of the layer.

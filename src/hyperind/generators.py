@@ -16,6 +16,7 @@ from .core import LayeredHypergraph
 from .errors import InvalidArguments
 from .structure import (
     check_bouquet,
+    check_bouquet_around,
     find_clean_four_cycles,
     find_linear_three_cycles,
     list_two_cycles,
@@ -202,6 +203,11 @@ def gen_layered_bouquet(
     that break anything are rolled back; after max_stall consecutive
     rejections in a layer the generator gives up on it and reports the
     shortfall instead of looping forever.
+
+    Each candidate is checked only within its radius-2 ball
+    (``check_bouquet_around``).  That decides exactly as a whole-graph
+    ``check_bouquet`` would, because the graph is clean before the
+    candidate is added, so any violation has to go through the candidate.
     """
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
@@ -232,7 +238,7 @@ def gen_layered_bouquet(
             if not H.add_edge(e):
                 misses += 1
                 continue
-            if check_bouquet(H).holds:
+            if check_bouquet_around(H, e).holds:
                 achieved[i] += 1
                 misses = 0
                 for v in e:

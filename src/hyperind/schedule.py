@@ -124,15 +124,16 @@ def build_schedule(N: int, T: float, k: int, strict: bool = False) -> Schedule:
 
     Raises
     ------
-    InvalidArguments : N < 1, k < 2, or T <= 1 (log T must be positive)
+    InvalidArguments : N < 1, k < 2, or T not a finite number above 1
+        (log T must be positive and finite)
     OutOfRegime : strict mode and T outside [(log N)^3, N^(1/4k)]
     """
     if N < 1:
         raise InvalidArguments(f"N must be positive, got {N}")
     if k < 2:
         raise InvalidArguments(f"k must be at least 2, got {k}")
-    if T <= 1:
-        raise InvalidArguments(f"T must exceed 1, got {T}")
+    if not (1 < T < math.inf):
+        raise InvalidArguments(f"T must be finite and exceed 1, got {T}")
     warnings: list[str] = []
     logN = math.log(N)
     lo_T, hi_T = logN**3, N ** (1 / (4 * k))

@@ -39,6 +39,7 @@ __all__ = [
     "find_linear_three_cycles",
     "find_clean_four_cycles",
     "check_bouquet",
+    "check_bouquet_around",
     "check_property_vprime",
     "link_components",
     "classify_intersecting_family",
@@ -211,14 +212,14 @@ def count_two_cycles(H: LayeredHypergraph, ell: int) -> int:
 # -- linear 3-cycles ----------------------------------------------------------
 
 
-def _linear_three_iter(H: LayeredHypergraph):
-    """Yield linear 3-cycles once each, in deterministic order.
+def _linear_three_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
+    """Yield linear 3-cycles once each, in deterministic order, from the
+    pair buckets of a hypergraph.
 
     The meeting vertices of a linear 3-cycle form a triangle in the graph of
     covered vertex pairs, so enumeration walks those triangles and filters
     edge combinations by the exact-singleton conditions.
     """
-    buckets = _pair_buckets(H)
     adj: dict[int, set[int]] = {}
     for a, b in buckets:
         adj.setdefault(a, set()).add(b)
@@ -260,7 +261,7 @@ def _linear_three_iter(H: LayeredHypergraph):
 def find_linear_three_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
     """Linear 3-cycles with their layer-2 edge counts in ``h2_count``."""
     out = []
-    for w in _linear_three_iter(H):
+    for w in _linear_three_iter(_pair_buckets(H)):
         out.append(w)
         if limit is not None and len(out) >= limit:
             break
@@ -317,15 +318,19 @@ def _clean_four_iter(H: LayeredHypergraph):
     emitted: set[frozenset[EdgeKey]] = set()
     for mid in sorted(adj):
         neighbors = adj[mid]
+        smid = set(mid[1])
         for i, e1 in enumerate(neighbors):
             s1 = set(e1[1])
             for e3 in neighbors[i + 1 :]:
-                if s1 & set(e3[1]):
+                if not s1.isdisjoint(e3[1]):
                     continue
                 pair = (e1, e3)
-                prior = buckets.setdefault(pair, [])
+                prior = buckets.get(pair)
+                if prior is None:
+                    buckets[pair] = [mid]
+                    continue
                 for other_mid in prior:
-                    if set(mid[1]) & set(other_mid[1]):
+                    if not smid.isdisjoint(other_mid[1]):
                         continue
                     key = frozenset((e1, e3, mid, other_mid))
                     if len(key) < 4 or key in emitted:
@@ -415,7 +420,7 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
     if witness_ii is not None:
         violations.append(("ii", witness_ii))
 
-    for w in _linear_three_iter(H):
+    for w in _linear_three_iter(buckets):
         if w.h2_count <= 1:
             violations.append(("iii", w))
             break
@@ -429,6 +434,37 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
         break
 
     return BouquetReport(holds=not violations, violations=violations)
+
+
+def check_bouquet_around(H: LayeredHypergraph, edge) -> BouquetReport:
+    """``check_bouquet`` restricted to the edges inside the radius-2 ball of
+    one edge of H; witnesses carry H's vertex ids.
+
+    Each of conditions i)-v) forbids a set of 2, 3 or 4 edges, decided by
+    those edges alone.  If H minus ``edge`` satisfies all five, every
+    forbidden set of H contains ``edge`` and lies inside N^2(edge): partners
+    in i), ii), iii) and v) meet ``edge``, and the edge opposite ``edge`` in
+    a clean 4-cycle meets a partner.  The restricted check then sees exactly
+    the forbidden sets of the whole graph, so it gives the same report as
+    ``check_bouquet(H)``.  Without that precondition it may miss violations.
+    """
+    ball = sorted(H.neighborhood(edge, 2))
+    old_to_new = {v: i for i, v in enumerate(ball)}
+    keys: set[tuple[int, int]] = set()
+    for v in ball:
+        keys.update(H.incidence[v])
+    sub = LayeredHypergraph(len(ball), H.k)
+    for layer, idx in sorted(keys):
+        e = H.layers[layer][idx]
+        if all(v in old_to_new for v in e):
+            sub.add_edge(tuple(old_to_new[v] for v in e))
+    report = check_bouquet(sub)
+    # the relabeling keeps vertex order, and with it the order in which the
+    # detectors meet their witnesses, so only the ids need mapping back
+    for _, w in report.violations:
+        w.edges = [(layer, tuple(ball[v] for v in e)) for layer, e in w.edges]
+        w.meeting = tuple(ball[v] for v in w.meeting)
+    return report
 
 
 def check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:

@@ -355,3 +355,46 @@ def replay_kminus2_residue(H, seed, diag, prune_batch=512):
     for s in sorted(s for s, c in sub.items() if c >= theta):
         g1.add_edge(s)
     return res, g1
+
+
+def replay_layered_bouquet(n, k, counts, rng, vertex_caps=None, max_stall=2000):
+    """The edge-by-edge growth of ``gen_layered_bouquet``, re-checking the
+    whole graph with ``check_bouquet`` after every insertion.
+
+    It draws from ``rng`` exactly as the generator does, so at one seed the
+    two must build the same layers and report the same ``info``; the
+    generator's local check has to agree with this whole-graph one on every
+    candidate for that to hold.
+    """
+    from hyperind.structure import check_bouquet
+
+    vertex_caps = dict(vertex_caps or {})
+    H = LayeredHypergraph(n, k)
+    achieved = {i: 0 for i in sorted(counts)}
+    stalled = []
+    deg = {i: [0] * n for i in counts}
+    for i in sorted(counts):
+        if n < i:
+            if counts[i]:
+                stalled.append(i)
+            continue
+        cap = vertex_caps.get(i)
+        misses = 0
+        while achieved[i] < counts[i] and misses < max_stall:
+            e = tuple(sorted(int(v) for v in rng.choice(n, size=i, replace=False)))
+            if cap is not None and any(deg[i][v] >= cap for v in e):
+                misses += 1
+            elif not H.add_edge(e):
+                misses += 1
+            elif check_bouquet(H).holds:
+                achieved[i] += 1
+                misses = 0
+                for v in e:
+                    deg[i][v] += 1
+            else:
+                H.pop_edge(i)
+                misses += 1
+        if achieved[i] < counts[i]:
+            stalled.append(i)
+    info = {"targets": dict(counts), "achieved": achieved, "stalled_layers": stalled}
+    return H, info

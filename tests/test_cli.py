@@ -214,3 +214,30 @@ def test_malformed_config_reports_error(tmp_path, capsys):
     code, _, err = run(capsys, "diff", bad, bad)
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_gen_malformed_json_counts_exit_2(tmp_path, capsys):
+    out = tmp_path / "b.hg"
+    for flags in (
+        ("--counts", "{bad"),
+        ("--counts", "[1, 2]"),
+        ("--counts", '{"2": 3}', "--vertex-caps", '{"2": "x"}'),
+        ("--counts", '{"2": 1.5, "3": true}'),
+        ("--counts", '{"two": 3}'),
+    ):
+        code, _, err = run(
+            capsys, "gen", "--kind", "bouquet", "--n", 20, "--k", 3,
+            *flags, "--out", out,
+        )
+        assert code == 2
+        assert err.startswith("error: --")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_schedule_non_finite_T_exit_2(capsys):
+    for T in ("inf", "nan"):
+        code, _, err = run(capsys, "schedule", "--n", 100, "--k", 3, "--T", T)
+        assert code == 2
+        assert "T must be finite" in err
+        assert "Traceback" not in err

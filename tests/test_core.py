@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +47,30 @@ def test_add_edge_validation():
         LayeredHypergraph(-1, 3)
     with pytest.raises(InvalidUniformity):
         LayeredHypergraph(4, 1)
+
+
+@pytest.mark.parametrize(
+    "bad", [(0.5, 1), (True, 2), (0, False), ("1", 2), (None, 1), (1, 2.0), (0, 1, -1)]
+)
+def test_add_edge_rejects_bad_ids_before_writing(bad):
+    H = small_graph()
+    before = H.copy()
+    with pytest.raises(InvalidVertex):
+        H.add_edge(bad)
+    assert H == before
+    assert H.layers == before.layers
+    assert H.incidence == before.incidence
+
+
+def test_add_edge_stores_index_like_ids_as_ints(tmp_path):
+    H = LayeredHypergraph(5, 3)
+    assert H.add_edge((np.int64(3), 1))
+    assert not H.add_edge((1, 3))
+    (edge,) = H.layers[2]
+    assert edge == (1, 3) and all(type(v) is int for v in edge)
+    path = tmp_path / "ids.hg"
+    write_file(H, path)
+    assert read_file(path) == H
 
 
 def test_pop_edge_restores_previous_state():

@@ -21,7 +21,7 @@ from hyperind.structure import (
     find_linear_three_cycles,
 )
 
-from oracles import brute_alpha
+from oracles import brute_alpha, replay_layered_bouquet
 
 
 def test_gnp_validation():
@@ -145,6 +145,31 @@ def test_bouquet_generator_reports_stalls():
     assert info["stalled_layers"] == [2]
     assert info["achieved"][2] < 14
     assert check_bouquet(H).holds  # whatever landed is still clean
+
+
+@pytest.mark.parametrize(
+    "n, k, counts, caps, seeds",
+    [
+        (20, 2, {2: 100}, None, 2),
+        (30, 3, {2: 15, 3: 60}, None, 2),
+        (40, 4, {2: 5, 3: 10, 4: 40}, None, 2),
+        (40, 4, {2: 6, 3: 20, 4: 40}, {3: 2, 4: 2}, 2),
+        (120, 4, {2: 20, 3: 40, 4: 200}, None, 1),
+    ],
+)
+def test_bouquet_generator_matches_full_check_replay(n, k, counts, caps, seeds):
+    # targets far above what fits, so the top layer stalls and the last
+    # max_stall candidates of it are all rejected
+    for seed in range(seeds):
+        H, info = gen_layered_bouquet(
+            n, k, counts, stream(seed, "bq-local"), vertex_caps=caps, max_stall=100
+        )
+        R, expect = replay_layered_bouquet(
+            n, k, counts, stream(seed, "bq-local"), vertex_caps=caps, max_stall=100
+        )
+        assert info == expect
+        assert H.layers == R.layers  # same edges in the same insertion order
+        assert k in info["stalled_layers"]
 
 
 def test_bouquet_generator_validation():

@@ -103,6 +103,9 @@ def test_build_schedule_argument_checks():
         build_schedule(10, 1.0, 3)
     with pytest.raises(InvalidArguments):
         build_schedule(10, 9.0, 1)
+    for T in (math.inf, math.nan, -math.inf):
+        with pytest.raises(InvalidArguments):
+            build_schedule(10, T, 3)
 
 
 def test_to_dict_round_trips_fields():

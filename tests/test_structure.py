@@ -8,6 +8,7 @@ from hyperind.errors import InvalidArguments
 from hyperind.rng import stream
 from hyperind.structure import (
     check_bouquet,
+    check_bouquet_around,
     check_property_vprime,
     classify_intersecting_family,
     common_neighbor_max,
@@ -28,6 +29,7 @@ from oracles import (
     brute_linear_three,
     brute_two_cycles,
     brute_vprime,
+    replay_layered_bouquet,
     random_layered,
 )
 
@@ -194,6 +196,63 @@ def test_vprime_matches_oracle(seed):
     H = random_layered(rng, n=10, k=4, edges=12)
     got = {frozenset(w.edges) for w in check_property_vprime(H)}
     assert got == set(brute_vprime(H))
+
+
+def _local_vs_whole(seed: int, k: int) -> set[str]:
+    """Grow a clean instance with the whole-graph check, then try candidate
+    edges drawn from the vertices of an existing edge f, of an edge through
+    a neighbor of f, and of two random vertices.  The local check must give
+    the whole-graph report for each; returns the properties they violated."""
+    rng = stream(seed, "struct-local", k)
+    counts = {i: int(rng.integers(0, 13)) for i in range(2, k + 1)}
+    H, _ = replay_layered_bouquet(24, k, counts, rng, max_stall=40)
+    edges = [e for _, e in H.edges()]
+    violated: set[str] = set()
+    for _ in range(8 if edges else 0):
+        f = edges[int(rng.integers(len(edges)))]
+        near = sorted(H.neighborhood(f, 1))
+        x = near[int(rng.integers(len(near)))]
+        layer, idx = H.incidence[x][int(rng.integers(len(H.incidence[x])))]
+        pool = set(f) | set(H.layers[layer][idx])
+        pool |= set(int(v) for v in rng.choice(H.n, size=2, replace=False))
+        size = len(f) if rng.random() < 0.5 else int(rng.integers(2, k + 1))
+        size = min(size, len(pool))
+        e = tuple(sorted(int(v) for v in rng.choice(sorted(pool), size=size, replace=False)))
+        if not H.add_edge(e):
+            continue
+        local = check_bouquet_around(H, e)
+        whole = check_bouquet(H)
+        assert local.holds == whole.holds
+        assert local.to_dict() == whole.to_dict()
+        violated.update(whole.violated_properties())
+        H.pop_edge(size)
+    return violated
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_local_bouquet_check_matches_whole_graph(seed, k):
+    _local_vs_whole(seed, k)
+
+
+def test_local_bouquet_check_sees_every_property():
+    violated = set()
+    for k in (2, 3, 4):
+        for seed in range(12):
+            violated |= _local_vs_whole(seed, k)
+    assert violated == {"i", "ii", "iii", "iv", "v"}
+
+
+def test_local_bouquet_check_ignores_far_edges():
+    H = LayeredHypergraph(12, 3)
+    for e in ((0, 1), (1, 2), (2, 3), (3, 0)):  # a clean 4-cycle
+        H.add_edge(e)
+    H.add_edge((8, 9, 10))
+    assert not check_bouquet(H).holds
+    # (8, 9, 10) is far from the cycle, so only its own ball is checked
+    assert check_bouquet_around(H, (8, 9, 10)).holds
+    report = check_bouquet_around(H, (2, 3))
+    assert report.to_dict() == check_bouquet(H).to_dict()
 
 
 @given(st.integers(0, 2**31 - 1))
