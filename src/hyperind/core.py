@@ -15,6 +15,12 @@ The on-disk format is line-oriented:
 The first line fixes k and n; every following non-comment line is one edge.
 ``write_file`` emits layers in ascending uniformity and edges in lexicographic
 order, so read -> write round trips are byte identical.
+
+``read_file`` refuses headers with more than ``MAX_FILE_VERTICES`` vertices or
+a uniformity above ``MAX_FILE_UNIFORMITY`` before it allocates anything: the
+graph holds one incidence list per vertex and one layer per uniformity, so an
+unchecked header such as ``H k=3 n=10^12`` would exhaust memory before the
+first edge is read.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from dataclasses import dataclass, field
 from .errors import InvalidArguments, InvalidUniformity, InvalidVertex, ParseError
 
 __all__ = [
+    "MAX_FILE_UNIFORMITY",
+    "MAX_FILE_VERTICES",
     "LayeredHypergraph",
     "MultiEdgeBag",
     "contract",
@@ -36,6 +44,28 @@ __all__ = [
 ]
 
 Edge = tuple[int, ...]
+
+# header limits of read_file; see the module docstring
+MAX_FILE_VERTICES = 10**7
+MAX_FILE_UNIFORMITY = 64
+
+
+def _as_vertex(v, n: int) -> int:
+    """A vertex id of a graph on n vertices as a plain int, or InvalidVertex.
+
+    Index-like ids (numpy integers) pass; bools and non-integers do not.
+    The read-only queries test ``type(v) is int and 0 <= v < n`` first and
+    call this only for ids that fail it.
+    """
+    if isinstance(v, bool):
+        raise InvalidVertex(f"vertex id {v!r} is a bool, not an integer")
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise InvalidVertex(f"vertex id {v!r} is not an integer") from None
+    if not (0 <= v < n):
+        raise InvalidVertex(f"vertex {v} outside 0..{n - 1}")
+    return v
 
 
 class LayeredHypergraph:
@@ -104,17 +134,7 @@ class LayeredHypergraph:
 
     def _checked_edge(self, edge) -> Edge:
         """The sorted tuple of plain int ids of an edge, or the error."""
-        ids = []
-        for v in edge:
-            if isinstance(v, bool):
-                raise InvalidVertex(f"vertex id {v!r} is a bool, not an integer")
-            try:
-                v = operator.index(v)
-            except TypeError:
-                raise InvalidVertex(f"vertex id {v!r} is not an integer") from None
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
-            ids.append(v)
+        ids = [_as_vertex(v, self.n) for v in edge]
         if len(set(ids)) != len(ids):
             raise InvalidUniformity(f"repeated vertex in edge {edge}")
         return tuple(sorted(ids))
@@ -171,12 +191,13 @@ class LayeredHypergraph:
 
         deg of the empty set is the total edge count.
         """
-        s = tuple(sorted(set(vertices)))
+        s = set(vertices)
         if not s:
             return self.num_edges()
         for v in s:
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            if type(v) is not int or not (0 <= v < self.n):
+                _as_vertex(v, self.n)
+        s = tuple(sorted(s))
         # scan the smallest incidence list among the queried vertices
         pivot = min(s, key=lambda v: len(self.incidence[v]))
         if len(s) == 1:
@@ -226,8 +247,8 @@ class LayeredHypergraph:
         Residues of distinct edges through x are themselves distinct, so the
         result is duplicate-free by construction.
         """
-        if not (0 <= x < self.n):
-            raise InvalidVertex(f"vertex {x} outside 0..{self.n - 1}")
+        if type(x) is not int or not (0 <= x < self.n):
+            _as_vertex(x, self.n)
         out = []
         for layer, idx in self.incidence[x]:
             e = self.layers[layer][idx]
@@ -237,8 +258,8 @@ class LayeredHypergraph:
 
     def closed_neighborhood(self, x: int) -> set[int]:
         """{x} plus every vertex sharing an edge with x."""
-        if not (0 <= x < self.n):
-            raise InvalidVertex(f"vertex {x} outside 0..{self.n - 1}")
+        if type(x) is not int or not (0 <= x < self.n):
+            _as_vertex(x, self.n)
         out = {x}
         for layer, idx in self.incidence[x]:
             out.update(self.layers[layer][idx])
@@ -254,8 +275,8 @@ class LayeredHypergraph:
             raise InvalidArguments("radius must be nonnegative")
         current = set(vertices)
         for v in current:
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            if type(v) is not int or not (0 <= v < self.n):
+                _as_vertex(v, self.n)
         for _ in range(radius):
             nxt = set(current)
             for v in current:
@@ -269,8 +290,8 @@ class LayeredHypergraph:
     def distance(self, x: int, y: int) -> int | None:
         """BFS distance where one hop crosses one edge; None if unreachable."""
         for v in (x, y):
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            if type(v) is not int or not (0 <= v < self.n):
+                _as_vertex(v, self.n)
         if x == y:
             return 0
         seen = {x}
@@ -295,13 +316,13 @@ class LayeredHypergraph:
         hypergraph and the old->new relabeling map (ascending ids map to
         ascending ids).
         """
-        u = sorted(set(vertices))
-        for v in u:
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+        uset = set(vertices)
+        for v in uset:
+            if type(v) is not int or not (0 <= v < self.n):
+                _as_vertex(v, self.n)
+        u = sorted(uset)
         old_to_new = {v: i for i, v in enumerate(u)}
         sub = LayeredHypergraph(len(u), self.k)
-        uset = set(u)
         for i in range(2, self.k + 1):
             for e in self.layers[i]:
                 if all(v in uset for v in e):
@@ -312,8 +333,8 @@ class LayeredHypergraph:
         """Whether no edge lies inside the set; returns a witness edge if one does."""
         s = set(vertices)
         for v in s:
-            if not (0 <= v < self.n):
-                raise InvalidVertex(f"vertex {v} outside 0..{self.n - 1}")
+            if type(v) is not int or not (0 <= v < self.n):
+                _as_vertex(v, self.n)
         for i in range(2, self.k + 1):
             for e in self.layers[i]:
                 if all(v in s for v in e):
@@ -371,8 +392,8 @@ def contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredHypergra
     """
     vset = set(vstar)
     for v in vset:
-        if not (0 <= v < H.n):
-            raise InvalidVertex(f"vertex {v} outside 0..{H.n - 1}")
+        if type(v) is not int or not (0 <= v < H.n):
+            _as_vertex(v, H.n)
     bag = MultiEdgeBag()
     for layer, e in H.edges():
         ce = tuple(v for v in e if v in vset)
@@ -419,11 +440,16 @@ def read_file(path: str) -> LayeredHypergraph:
 
     Raises
     ------
-    ParseError : malformed header or edge line (carries the line number)
+    ParseError : malformed header or edge line (carries the line number),
+        a header over ``MAX_FILE_VERTICES`` or ``MAX_FILE_UNIFORMITY``, or
+        text that is not UTF-8
     InvalidVertex / InvalidUniformity : structurally invalid edge
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+        try:
+            raw_lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     header_idx = None
     for lineno, raw in enumerate(raw_lines, start=1):
         text = raw.strip()
@@ -442,6 +468,10 @@ def read_file(path: str) -> LayeredHypergraph:
         n = int(parts[2][2:])
     except ValueError:
         raise ParseError("header k and n must be integers", line=header_idx) from None
+    if n > MAX_FILE_VERTICES:
+        raise ParseError(f"n={n} exceeds the limit of {MAX_FILE_VERTICES} vertices", line=header_idx)
+    if k > MAX_FILE_UNIFORMITY:
+        raise ParseError(f"k={k} exceeds the limit of uniformity {MAX_FILE_UNIFORMITY}", line=header_idx)
     try:
         H = LayeredHypergraph(n, k)
     except (InvalidArguments, InvalidUniformity) as exc:

@@ -8,6 +8,8 @@ under the structural conditions.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -27,27 +29,31 @@ from .structure import (
 MAX_EXPECTED_EDGES = 5_000_000
 
 
-def _unrank_combination(idx: int, n: int, k: int) -> tuple[int, ...]:
-    """Lexicographic k-combination of range(n) at position idx."""
+def _binomial_tables(n: int, k: int) -> list[list[int]]:
+    """tables[j][t] = C(t, j) for 0 <= j <= k and 0 <= t <= n."""
+    tables = [[1] * (n + 1)]
+    for _ in range(k):
+        # hockey stick: C(t, j) = sum of C(s, j - 1) over s < t
+        tables.append([0, *itertools.accumulate(tables[-1][:n])])
+    return tables
+
+
+def _unrank_combination(idx: int, n: int, k: int, tables: list[list[int]]) -> tuple[int, ...]:
+    """Lexicographic k-combination of range(n) at position idx, given
+    ``_binomial_tables(n, k)``."""
     out = []
-    x = 0
     r = idx
-    for pos in range(k):
-        m = n - x
-        j = k - pos
-        # combinations skipping the first i values of [x, n) number
-        # C(m, j) - C(m - i, j); binary-search the block holding r
-        head = math.comb(m, j)
-        lo, hi = 0, m - j
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if head - math.comb(m - mid - 1, j) > r:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.append(x + lo)
-        r -= head - math.comb(m - lo, j)
-        x += lo + 1
+    m = n  # the values n - m .. n - 1 are still free
+    for j in range(k, 0, -1):
+        col = tables[j]
+        # combinations skipping the first i free values number
+        # C(m, j) - C(m - i, j), so the next value is n - 1 - t for the
+        # largest t < m with C(t, j) < C(m, j) - r; C(t, j) rises with t
+        head = col[m]
+        t = bisect.bisect_left(col, head - r, j, m) - 1
+        out.append(n - 1 - t)
+        r -= head - col[t + 1]
+        m = t
     return tuple(out)
 
 
@@ -75,9 +81,10 @@ def gen_gnp(
             f"expected edge count {p * total:.3g} exceeds {MAX_EXPECTED_EDGES}"
         )
     if p >= 1.0:
-        for idx in range(total):
-            H.add_edge(_unrank_combination(idx, n, k))
+        for e in itertools.combinations(range(n), k):
+            H.add_edge(e)
         return H
+    tables = _binomial_tables(n, k)
     log_q = math.log1p(-p)
     idx = -1
     while True:
@@ -87,7 +94,7 @@ def gen_gnp(
         idx += gap + 1
         if idx >= total:
             break
-        H.add_edge(_unrank_combination(idx, n, k))
+        H.add_edge(_unrank_combination(idx, n, k, tables))
     return H
 
 
@@ -169,12 +176,9 @@ def gen_disjoint_cliques(n: int, k: int, s: int) -> tuple[LayeredHypergraph, dic
         raise InvalidArguments("requested clique family is too large")
     H = LayeredHypergraph(n, k)
     for b in range(blocks):
-        base = b * s
         if s >= k:
-            for idx in range(math.comb(s, k)):
-                H.add_edge(
-                    tuple(base + v for v in _unrank_combination(idx, s, k))
-                )
+            for e in itertools.combinations(range(b * s, (b + 1) * s), k):
+                H.add_edge(e)
     leftover = n - blocks * s
     per_block = min(s, k - 1)
     alpha = blocks * per_block + leftover

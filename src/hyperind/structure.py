@@ -626,6 +626,7 @@ def common_neighbor_max(H: LayeredHypergraph, layer: int | None = None) -> int:
                 best = count
     return best
 
+
 def prune_short_cycles(
     H: LayeredHypergraph,
     keep: set[int],
@@ -637,31 +638,55 @@ def prune_short_cycles(
     """Delete the lowest vertex of each detected cycle, in batches, until the
     graph induced on the kept vertices is clean for the requested kinds.
 
-    Vertex deletion never creates new cycles, so kinds cleared in an earlier
-    pass stay cleared.  Returns (surviving vertex ids, info) where info
-    counts passes and witnesses seen per kind.
+    Each pass takes up to ``batch`` cycles of each kind from the graph
+    induced on the vertices kept at the start of the pass.  Vertex deletion
+    never creates new cycles, so kinds cleared in an earlier pass stay
+    cleared.  Returns (surviving vertex ids, info) where info counts passes
+    and witnesses seen per kind.
+
+    The (2,l)-cycle streams are built once, on the graph induced on
+    ``keep``, and resumed from pass to pass; a cycle through a deleted
+    vertex is skipped.  This takes the same cycles as enumerating afresh
+    each pass: inducing keeps the vertex order, so the survivors' cycles
+    come in the order of the first graph, and every cycle before the resume
+    point was taken (its lowest vertex deleted) or already broken.  Linear
+    3-cycles and clean 4-cycles are found anew on the survivors each pass.
+    A resumed stream would walk every cycle of the first graph, dead or
+    alive, and on dense inputs a clean 4-cycle stream over the first graph
+    costs far more than the passes it would save.
     """
     deleted = {"two_cycle": 0, "linear_three": 0, "clean_four": 0}
     passes = 0
-    keep = set(keep)
+    order = sorted(set(keep))
+    base, _ = H.induce(order)
+    streams = [_two_cycle_iter(base, ell) for ell in two_ells]
+    alive = [True] * base.n
     while True:
         passes += 1
-        order = sorted(keep)
-        sub, _ = H.induce(order)
         doomed: set[int] = set()
-        for ell in two_ells:
-            for w in list_two_cycles(sub, ell=ell, limit=batch):
+        for stream in streams:
+            taken = 0
+            for w in stream:
+                if not all(alive[v] for _, e in w.edges for v in e):
+                    continue
                 doomed.add(min(v for _, e in w.edges for v in e))
                 deleted["two_cycle"] += 1
+                taken += 1
+                if batch is not None and taken >= batch:
+                    break
+        if linear3 or clean4:
+            survivors = [v for v in range(base.n) if alive[v]]
+            sub = base if len(survivors) == base.n else base.induce(survivors)[0]
         if linear3:
             for w in find_linear_three_cycles(sub, limit=batch):
-                doomed.add(min(v for _, e in w.edges for v in e))
+                doomed.add(survivors[min(v for _, e in w.edges for v in e)])
                 deleted["linear_three"] += 1
         if clean4:
             for w in find_clean_four_cycles(sub, limit=batch):
-                doomed.add(min(v for _, e in w.edges for v in e))
+                doomed.add(survivors[min(v for _, e in w.edges for v in e)])
                 deleted["clean_four"] += 1
         if not doomed:
             break
-        keep -= {order[v] for v in doomed}
-    return keep, {"passes": passes, "witnesses": deleted}
+        for v in doomed:
+            alive[v] = False
+    return {order[v] for v in range(base.n) if alive[v]}, {"passes": passes, "witnesses": deleted}

@@ -398,3 +398,113 @@ def replay_layered_bouquet(n, k, counts, rng, vertex_caps=None, max_stall=2000):
             stalled.append(i)
     info = {"targets": dict(counts), "achieved": achieved, "stalled_layers": stalled}
     return H, info
+
+
+def replay_prune_short_cycles(H, keep, two_ells=(), linear3=False, clean4=False, batch=512):
+    """Batched lowest-vertex deletion that re-induces the survivors and
+    enumerates every requested kind afresh on each pass.
+
+    ``prune_short_cycles`` resumes its (2,l)-cycle streams across passes
+    instead; the two must return the same survivors and the same info.
+    """
+    from hyperind.structure import (
+        find_clean_four_cycles,
+        find_linear_three_cycles,
+        list_two_cycles,
+    )
+
+    deleted = {"two_cycle": 0, "linear_three": 0, "clean_four": 0}
+    passes = 0
+    keep = set(keep)
+    while True:
+        passes += 1
+        order = sorted(keep)
+        sub, _ = H.induce(order)
+        doomed: set[int] = set()
+        for ell in two_ells:
+            for w in list_two_cycles(sub, ell=ell, limit=batch):
+                doomed.add(min(v for _, e in w.edges for v in e))
+                deleted["two_cycle"] += 1
+        if linear3:
+            for w in find_linear_three_cycles(sub, limit=batch):
+                doomed.add(min(v for _, e in w.edges for v in e))
+                deleted["linear_three"] += 1
+        if clean4:
+            for w in find_clean_four_cycles(sub, limit=batch):
+                doomed.add(min(v for _, e in w.edges for v in e))
+                deleted["clean_four"] += 1
+        if not doomed:
+            break
+        keep -= {order[v] for v in doomed}
+    return keep, {"passes": passes, "witnesses": deleted}
+
+
+def unrank_combination(idx: int, n: int, k: int) -> tuple[int, ...]:
+    """Lexicographic k-combination of range(n) at position idx, by a binary
+    search over ``math.comb`` for each position."""
+    import math
+
+    out = []
+    x = 0
+    r = idx
+    for pos in range(k):
+        m = n - x
+        j = k - pos
+        # combinations skipping the first i values of [x, n) number
+        # C(m, j) - C(m - i, j); binary-search the block holding r
+        head = math.comb(m, j)
+        lo, hi = 0, m - j
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if head - math.comb(m - mid - 1, j) > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        out.append(x + lo)
+        r -= head - math.comb(m - lo, j)
+        x += lo + 1
+    return tuple(out)
+
+
+def replay_gnp(n, k, p, rng):
+    """``gen_gnp`` for 0 < p < 1, unranked with ``unrank_combination``; it
+    draws from ``rng`` as the generator does."""
+    import math
+
+    H = LayeredHypergraph(n, k)
+    total = math.comb(n, k)
+    log_q = math.log1p(-p)
+    idx = -1
+    while True:
+        u = rng.random()
+        idx += (int(math.log(u) / log_q) if u > 0.0 else total) + 1
+        if idx >= total:
+            return H
+        H.add_edge(unrank_combination(idx, n, k))
+
+
+def replay_girth5(n, k, t, rng, batch=512):
+    """``gen_girth5`` for n >= k, rebuilt from ``unrank_combination`` and
+    ``replay_prune_short_cycles``: it draws from ``rng`` as the generator
+    does, so at one seed both must return the same layers and ``info``."""
+    import math
+
+    p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1))
+    if p < 1.0:
+        H = replay_gnp(n, k, p, rng)
+    else:
+        H = LayeredHypergraph(n, k)
+        for idx in range(math.comb(n, k)):
+            H.add_edge(unrank_combination(idx, n, k))
+    info = {"initial_edges": H.num_edges(), "p": p}
+    stages = (
+        ("two_cycle_stage", {"two_ells": tuple(range(2, k))}),
+        ("linear_three_stage", {"linear3": True}),
+        ("clean_four_stage", {"clean4": True}),
+    )
+    for name, kinds in stages:
+        keep, info[name] = replay_prune_short_cycles(H, set(range(H.n)), batch=batch, **kinds)
+        H, _ = H.induce(sorted(keep))
+    info["final_n"] = H.n
+    info["final_edges"] = H.num_edges()
+    return H, info

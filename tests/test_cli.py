@@ -241,3 +241,12 @@ def test_schedule_non_finite_T_exit_2(capsys):
         assert code == 2
         assert "T must be finite" in err
         assert "Traceback" not in err
+
+
+def test_solve_huge_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.hg"
+    path.write_text("H k=3 n=1000000000000\n0 1 2\n", encoding="utf-8")
+    code, _, err = run(capsys, "solve", path, "--algorithm", "greedy")
+    assert code == 2
+    assert "line 1" in err and "exceeds the limit" in err
+    assert "Traceback" not in err

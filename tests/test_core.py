@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperind.core import LayeredHypergraph, contract, read_file, write_file
+from hyperind import core
+from hyperind.core import (
+    MAX_FILE_UNIFORMITY,
+    MAX_FILE_VERTICES,
+    LayeredHypergraph,
+    contract,
+    read_file,
+    write_file,
+)
 from hyperind.errors import (
     InvalidArguments,
     InvalidUniformity,
@@ -166,6 +174,29 @@ def test_is_independent_witness():
     assert not ok and witness == (1, 2, 3)
 
 
+# each read-only query, given one vertex id v alongside valid ones
+QUERIES = {
+    "deg": lambda H, v: H.deg([v, 1]),
+    "neighborhood": lambda H, v: H.neighborhood({v, 1}, 2),
+    "closed_neighborhood": lambda H, v: H.closed_neighborhood(v),
+    "is_independent": lambda H, v: H.is_independent([v, 3]),
+    "induce": lambda H, v: H.induce([v, 1, 2]),
+    "link": lambda H, v: H.link(v),
+    "distance": lambda H, v: H.distance(4, v),
+    "contract": lambda H, v: contract(H, {v, 1, 2}),
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_queries_reject_non_integer_ids(query):
+    H = small_graph()
+    for bad in (0.5, 1.5, True, False, "1", None, (0,)):
+        with pytest.raises(InvalidVertex):
+            QUERIES[query](H, bad)
+    # index-like ids answer as plain ints do
+    assert QUERIES[query](H, np.int64(0)) == QUERIES[query](H, 0)
+
+
 def test_contract_multiplicity_and_nesting():
     H = LayeredHypergraph(7, 4)
     H.add_edge((0, 1, 2, 6))
@@ -228,6 +259,91 @@ def test_read_file_errors_carry_line_numbers(tmp_path):
     p.write_text("")
     with pytest.raises(ParseError):
         read_file(str(p))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "H k=3 n=1000000000000",
+        f"H k=3 n={MAX_FILE_VERTICES + 1}",
+        f"H k={MAX_FILE_UNIFORMITY + 1} n=10",
+        "H k=1000000000000 n=10",
+    ],
+)
+def test_read_file_bounds_header_before_allocating(tmp_path, monkeypatch, header):
+    def refuse(n, k):
+        raise AssertionError(f"allocated a graph with n={n}, k={k}")
+
+    monkeypatch.setattr(core, "LayeredHypergraph", refuse)
+    p = tmp_path / "huge.hg"
+    p.write_text(f"# huge\n{header}\n0 1\n")
+    with pytest.raises(ParseError) as err:
+        read_file(str(p))
+    assert err.value.line == 2
+    assert "exceeds the limit" in str(err.value)
+
+
+def test_read_file_header_limits_are_inclusive(tmp_path, monkeypatch):
+    reached = []
+
+    def record(n, k):
+        reached.append((n, k))
+        raise InvalidArguments("recorded")
+
+    monkeypatch.setattr(core, "LayeredHypergraph", record)
+    p = tmp_path / "edge.hg"
+    p.write_text(f"H k={MAX_FILE_UNIFORMITY} n={MAX_FILE_VERTICES}\n")
+    with pytest.raises(ParseError, match="recorded"):
+        read_file(str(p))
+    assert reached == [(MAX_FILE_VERTICES, MAX_FILE_UNIFORMITY)]
+
+
+def test_read_file_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin.hg"
+    p.write_bytes(b"H k=3 n=4\n0 1\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_file(str(p))
+
+
+FUZZ_SEED_FILE = b"# sample\nH k=4 n=9\n0 1\n2 3 4\n1 5 6 7\n\n# tail\n3 8\n"
+FUZZ_TOKENS = [
+    b"H", b"k=", b"n=", b"-", b"0", b"9", b"99999999999999999999", b"#",
+    b"\n", b" ", b"\t", b"\xff", b"\xc3\xa9", b"\x00", b"1.5", b"x",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace", "duplicate"]),
+            st.integers(0, 10**6),
+            st.integers(1, 6),
+            st.sampled_from(FUZZ_TOKENS),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_read_file_fuzz_raises_only_typed_errors(tmp_path_factory, edits):
+    data = bytearray(FUZZ_SEED_FILE)
+    for op, pos, width, token in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data[pos:pos] = token
+        elif op == "delete":
+            del data[pos : pos + width]
+        elif op == "replace":
+            data[pos : pos + width] = token
+        else:
+            data[pos:pos] = data[pos : pos + width]
+    p = tmp_path_factory.mktemp("fuzz") / "mutated.hg"
+    p.write_bytes(bytes(data))
+    try:
+        H = read_file(str(p))
+    except (ParseError, InvalidVertex, InvalidUniformity):
+        return
+    assert all(len(e) >= 2 and max(e) < H.n for _, e in H.edges())
 
 
 def test_canonical_layers_sorted():

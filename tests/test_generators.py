@@ -8,6 +8,8 @@ import pytest
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments
 from hyperind.generators import (
+    _binomial_tables,
+    _unrank_combination,
     gen_disjoint_cliques,
     gen_girth5,
     gen_gnp,
@@ -21,7 +23,13 @@ from hyperind.structure import (
     find_linear_three_cycles,
 )
 
-from oracles import brute_alpha, replay_layered_bouquet
+from oracles import (
+    brute_alpha,
+    replay_girth5,
+    replay_gnp,
+    replay_layered_bouquet,
+    unrank_combination,
+)
 
 
 def test_gnp_validation():
@@ -53,6 +61,37 @@ def test_gnp_p_zero_and_one():
     H = gen_gnp(7, 3, 1.0, rng)
     got = [e for _, e in H.edges()]
     assert sorted(got) == list(itertools.combinations(range(7), 3))
+    assert got == [unrank_combination(idx, 7, 3) for idx in range(math.comb(7, 3))]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_unrank_every_index_small(n):
+    for k in range(1, 6):
+        tables = _binomial_tables(n, k)
+        for idx, comb in enumerate(itertools.combinations(range(n), k)):
+            assert _unrank_combination(idx, n, k, tables) == comb
+            assert unrank_combination(idx, n, k) == comb
+
+
+@pytest.mark.parametrize("n, k", [(10**5, 5), (1000, 3), (300, 8), (64, 32)])
+def test_unrank_matches_reference_on_large_n(n, k):
+    total = math.comb(n, k)
+    tables = _binomial_tables(n, k)
+    rng = stream(n, "unrank", k)
+    picks = {0, 1, total // 2, total - 2, total - 1}
+    picks.update(int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(300))
+    if total > 2**63:
+        picks.update({2**63 - 1, 2**63, 2**63 + 1})
+    for idx in picks:
+        assert _unrank_combination(idx, n, k, tables) == unrank_combination(idx, n, k)
+    assert _unrank_combination(total - 1, n, k, tables) == tuple(range(n - k, n))
+
+
+@pytest.mark.parametrize("n, k, p", [(30, 3, 0.05), (25, 4, 0.01), (40, 2, 0.3), (12, 5, 0.5)])
+def test_gnp_edges_in_reference_unranking_order(n, k, p):
+    for seed in range(3):
+        H = gen_gnp(n, k, p, stream(seed, "gnp-order"))
+        assert H.layers == replay_gnp(n, k, p, stream(seed, "gnp-order")).layers
 
 
 def test_gnp_deterministic_per_seed():
@@ -79,6 +118,18 @@ def test_girth5_higher_uniformity():
     assert check_bouquet(H).holds
 
 
+@pytest.mark.parametrize(
+    "n, k, t, batch",
+    [(200, 3, 4.0, 512), (300, 3, 6.0, 32), (120, 4, 2.0, 16), (60, 5, 1.5, 4), (6, 3, 9.0, 2)],
+)
+def test_girth5_matches_per_pass_replay(n, k, t, batch):
+    for seed in range(2):
+        H, info = gen_girth5(n, k, t, stream(seed, "g5-replay"), batch=batch)
+        R, expect = replay_girth5(n, k, t, stream(seed, "g5-replay"), batch=batch)
+        assert info == expect
+        assert H.layers == R.layers
+
+
 def test_girth5_validation_and_degenerate():
     with pytest.raises(InvalidArguments):
         gen_girth5(30, 3, 0.0, stream(1, "x"))
@@ -101,6 +152,16 @@ def test_cliques_closed_form_matches_brute_force():
 
     H2, info2 = gen_disjoint_cliques(14, 3, 5)
     assert brute_alpha(H2) == info2["alpha_exact"] == 2 * 2 + 4
+
+
+def test_cliques_edges_in_reference_unranking_order():
+    H, _ = gen_disjoint_cliques(17, 3, 5)
+    expect = [
+        tuple(b * 5 + v for v in unrank_combination(idx, 5, 3))
+        for b in range(3)
+        for idx in range(math.comb(5, 3))
+    ]
+    assert H.layers[3] == expect
 
 
 def test_cliques_blocks_below_uniformity_are_edgeless():

@@ -30,6 +30,7 @@ from oracles import (
     brute_two_cycles,
     brute_vprime,
     replay_layered_bouquet,
+    replay_prune_short_cycles,
     random_layered,
 )
 
@@ -370,3 +371,24 @@ def test_prune_noop_on_clean_input():
     assert keep == set(range(6))
     assert info["passes"] == 1
     assert sum(info["witnesses"].values()) == 0
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(2, 5),
+    batch=st.sampled_from([1, 2, 3, 8, 512, None]),
+    linear3=st.booleans(),
+    clean4=st.booleans(),
+    ells=st.integers(0, 15),
+)
+@settings(max_examples=150, deadline=None)
+def test_prune_matches_per_pass_replay(seed, k, batch, linear3, clean4, ells):
+    # dense enough that the small batches need several passes
+    rng = stream(seed, "struct-prune-replay")
+    n = int(rng.integers(k + 2, 20))
+    H = random_layered(rng, n=n, k=k, edges=int(rng.integers(n, 4 * n)))
+    kept = rng.uniform(0.5, 1.0)
+    keep = {v for v in range(n) if rng.random() < kept}
+    two_ells = tuple(ell for ell in range(2, k + 1) if ells >> (ell - 2) & 1)
+    kinds = dict(two_ells=two_ells, linear3=linear3, clean4=clean4, batch=batch)
+    assert prune_short_cycles(H, keep, **kinds) == replay_prune_short_cycles(H, keep, **kinds)
