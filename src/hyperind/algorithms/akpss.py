@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import LayeredHypergraph, contract
-from ..errors import PreconditionFailed, RoundCollapsed
+from ..errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from ..rng import stream
 from ..schedule import Schedule
 from ..structure import check_bouquet
@@ -284,6 +284,8 @@ def akpss_run(
     attempts the attempt with the largest harvest wins.  Streams are derived
     from (seed, "round", m, "attempt", a), so runs are reproducible.
     """
+    if retries_per_round < 1:
+        raise InvalidArguments(f"retries_per_round must be positive, got {retries_per_round}")
     warnings: list[str] = []
     if check_input:
         report = check_bouquet(H)

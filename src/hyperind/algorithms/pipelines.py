@@ -43,19 +43,31 @@ class PipelineConfig:
     delta: float | None = None  # case-2 sampling exponent, must be < 1/(4k^2)
     trust_preconditions: bool = False
     strict_schedule: bool = False
-    greedy_order: str = "mindegree"
-    prune_batch: int = 512
+
+
+# vertices dropped per pruning pass; the residue replays in the tests assume it
+_PRUNE_BATCH = 512
 
 
 def _uniform_k(H: LayeredHypergraph) -> int:
-    """The input must carry edges in its top layer only."""
+    """The input must carry edges in its top layer only, of size k >= 4."""
     sizes = H.layer_sizes()
     for i in range(2, H.k):
         if sizes.get(i, 0) > 0:
             raise InvalidArguments(
                 f"expected a {H.k}-uniform input, found edges of size {i}"
             )
+    if H.k < 4:
+        raise InvalidArguments(f"needs uniformity at least 4, got {H.k}")
     return H.k
+
+
+def _check_kminus2_degree(H: LayeredHypergraph, k: int, d: float) -> None:
+    observed = H.max_min_degree(k, k - 2)[0]
+    if observed > d * H.n:
+        raise PreconditionFailed(
+            f"max ({k - 2})-set degree {observed} exceeds d*n = {d * H.n:.3f}"
+        )
 
 
 def _sample(n: int, p: float, rng: np.random.Generator) -> set[int]:
@@ -74,6 +86,47 @@ def _degrees_within(H: LayeredHypergraph, U: set[int]) -> dict[int, dict[int, in
     return out
 
 
+def _heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, Counter]:
+    """(heavy (k-1)-sets of degree >= cut, sorted; the edges containing none
+    of them; the degree of every (k-1)-set inside an edge) of a k-uniform H."""
+    sub_deg: Counter = Counter()
+    for _, e in H.edges():
+        sub_deg.update(combinations(e, H.k - 1))
+    heavy = sorted(s for s, c in sub_deg.items() if c >= cut)
+    heavy_set = set(heavy)
+    light = [
+        e
+        for _, e in H.edges()
+        if not any(s in heavy_set for s in combinations(e, H.k - 1))
+    ]
+    return heavy, light, sub_deg
+
+
+def _residue(G, seed, label, attempt, p, degree_filter, trim_target, **prune):
+    """One attempt: sample G at rate p, drop Z = degree_filter(U), prune, keep
+    the trim_target smallest survivors.  Returns (U, Z, prune_info, order,
+    res), res being G induced on order, or None when nothing survived."""
+    U = _sample(G.n, p, stream(seed, label, "sample", attempt))
+    Z = degree_filter(U)
+    survivors, prune_info = prune_short_cycles(
+        G, U - Z, batch=_PRUNE_BATCH, **prune
+    )
+    order = sorted(survivors)
+    if len(order) > trim_target > 0:
+        order = order[:trim_target]
+    res = G.induce(order)[0] if order else None
+    return U, Z, prune_info, order, res
+
+
+def _map_back(H: LayeredHypergraph, order: list[int], picked, what: str) -> tuple[int, ...]:
+    """A residue set in H's ids, re-verified against H."""
+    final = tuple(sorted(order[x] for x in picked))
+    ok, witness = H.is_independent(final)
+    if not ok:
+        raise AssertionError(f"{what}: {witness}")
+    return final
+
+
 def pipeline_kminus2(
     H: LayeredHypergraph,
     d: float,
@@ -86,18 +139,12 @@ def pipeline_kminus2(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    if k < 4:
-        raise InvalidArguments(f"needs uniformity at least 4, got {k}")
     if d <= 0:
         raise InvalidArguments("d must be positive")
     n = H.n
     warnings: list[str] = []
     if not cfg.trust_preconditions:
-        observed = H.max_min_degree(k, k - 2)[0]
-        if observed > d * n:
-            raise PreconditionFailed(
-                f"max ({k - 2})-set degree {observed} exceeds d*n = {d * n:.3f}"
-            )
+        _check_kminus2_degree(H, k, d)
     ratio = n / d
     if ratio <= 1:
         warnings.append(f"n/d = {ratio:.3f} <= 1, the reduction degenerates")
@@ -123,62 +170,36 @@ def pipeline_kminus2(
         "split_exponent": beta,
     }
 
+    def heavy_vertices(U):
+        deg_u = _degrees_within(H, U).get(k, {})
+        return set(v for v in U if deg_u.get(v, 0) >= heavy_cut)
+
     last_fail = ""
     for attempt in range(max(1, cfg.retries)):
-        rng = stream(seed, "kminus2", "sample", attempt)
-        U = _sample(n, p, rng)
-        deg_u = _degrees_within(H, U).get(k, {})
-        ustar = set(v for v in U if deg_u.get(v, 0) >= heavy_cut)
-        survivors, prune_info = prune_short_cycles(
-            H,
-            U - ustar,
-            two_ells=tuple(range(2, k - 1)),
-            linear3=False,
-            clean4=False,
-            batch=cfg.prune_batch,
+        U, ustar, prune_info, order, res = _residue(
+            H, seed, "kminus2", attempt, p, heavy_vertices, m_target,
+            two_ells=tuple(range(2, k - 1)), linear3=False, clean4=False,
         )
-        if len(survivors) > m_target > 0:
-            survivors = set(sorted(survivors)[:m_target])
-        elif len(survivors) < m_target:
-            warnings.append(
-                f"residue {len(survivors)} below the trim target {m_target}"
-            )
-        if not survivors:
+        if len(order) < m_target:
+            warnings.append(f"residue {len(order)} below the trim target {m_target}")
+        if res is None:
             last_fail = f"attempt {attempt}: nothing survived the pruning"
             continue
 
-        order = sorted(survivors)
-        res, _ = H.induce(order)
         m = res.n
         if m <= 1:
             theta = float(k + 2)
         else:
             theta = max(m ** (1 / (2 * k - 2)) / math.log(m) ** beta, float(k + 2))
 
-        sub_deg: Counter = Counter()
-        for _, e in res.edges():
-            for s in combinations(e, k - 1):
-                sub_deg[s] += 1
-        heavy = sorted(s for s, c in sub_deg.items() if c >= theta)
-        heavy_set = set(heavy)
-        light = [
-            e
-            for _, e in res.edges()
-            if not any(s in heavy_set for s in combinations(e, k - 1))
-        ]
-
+        heavy, light, _ = _heavy_light(res, theta)
         G = LayeredHypergraph(m, k)
-        for s in heavy:
-            G.add_edge(s)
-        for e in light:
+        for e in heavy + light:
             G.add_edge(e)
 
-        grng = stream(seed, "kminus2", "greedy", attempt)
-        picked = greedy_set(G, rng=grng, order=cfg.greedy_order)
-        final = tuple(sorted(order[x] for x in picked))
-        ok, witness = H.is_independent(final)
-        if not ok:
-            raise AssertionError(f"split residue produced a spanned edge: {witness}")
+        final = _map_back(
+            H, order, greedy_set(G), "split residue produced a spanned edge"
+        )
 
         g2only = LayeredHypergraph(m, k)
         for e in light:
@@ -268,8 +289,6 @@ def pipeline_degree_gap(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    if k < 4:
-        raise InvalidArguments(f"needs uniformity at least 4, got {k}")
     if d <= 0:
         raise InvalidArguments("d must be positive")
     if case not in (1, 2):
@@ -294,17 +313,10 @@ def pipeline_degree_gap(
         eps_eff = None
 
     heavy_cut = n ** ((k - 2) / (k - 1)) * d ** (1 / (k - 1))
-    sub_deg: Counter = Counter()
-    for _, e in H.edges():
-        for s in combinations(e, k - 1):
-            sub_deg[s] += 1
+    heavy, light, sub_deg = _heavy_light(H, heavy_cut)
 
     if not cfg.trust_preconditions:
-        observed = H.max_min_degree(k, k - 2)[0]
-        if observed > d * n:
-            raise PreconditionFailed(
-                f"max ({k - 2})-set degree {observed} exceeds d*n = {d * n:.3f}"
-            )
+        _check_kminus2_degree(H, k, d)
         if case == 1:
             gap_lo = n ** ((k - 2) / (k - 1) - eps_eff) * d ** (1 / (k - 1) + eps_eff)
         else:
@@ -319,29 +331,16 @@ def pipeline_degree_gap(
         if case == 2 and find_clean_four_cycles(H, limit=1):
             raise PreconditionFailed("case 2 needs a clean-4-free input")
 
-    heavy = sorted(s for s, c in sub_deg.items() if c >= heavy_cut)
-    heavy_set = set(heavy)
     HH = LayeredHypergraph(n, k)
-    for s in heavy:
-        HH.add_edge(s)
-    light = 0
-    for _, e in H.edges():
-        if not any(s in heavy_set for s in combinations(e, k - 1)):
-            HH.add_edge(e)
-            light += 1
+    for e in heavy + light:
+        HH.add_edge(e)
 
     p = min(1.0, n ** (delta - (k - 2) / (k - 1)) * d ** (-delta - 1 / (k - 1)))
     trim_target = int(0.5 * ratio ** (1 / (k - 1) + delta))
-    d1 = {
-        i: HH.max_min_degree(i, 1)[0] if HH.layer_sizes().get(i, 0) else 0
-        for i in (k - 1, k)
-    }
-    if case == 1:
-        two_ells = tuple(range(2, k))
-        clean4 = True
-    else:
-        two_ells = tuple(range(2, k - 1))
-        clean4 = False
+    z_cut = {}  # degree filter: 40 p^(i-1) times the layer's max degree
+    for i in (k - 1, k):
+        d1 = HH.max_min_degree(i, 1)[0] if HH.layer_sizes().get(i, 0) else 0
+        z_cut[i] = 40 * p ** (i - 1) * d1
     resid_cap = 2 * ratio**delta / math.log(ratio) ** (k + 1)
 
     diag: dict = {
@@ -351,91 +350,30 @@ def pipeline_degree_gap(
         "p": p,
         "heavy_cut": heavy_cut,
         "heavy_sets": len(heavy),
-        "light_edges": light,
+        "light_edges": len(light),
         "trim_target": trim_target,
         "residue_top_degree_cap": resid_cap if case == 2 else None,
     }
 
-    last_fail = ""
-    for attempt in range(max(1, cfg.retries)):
-        rng = stream(seed, "degree_gap", "sample", attempt)
-        U = _sample(n, p, rng)
+    def high_degree(U):
         within = _degrees_within(HH, U)
-        z_cut = {i: 40 * p ** (i - 1) * d1[i] for i in (k - 1, k)}
-        Z = set()
-        for i in (k - 1, k):
-            for v, c in within.get(i, {}).items():
-                if c > z_cut[i]:
-                    Z.add(v)
-        survivors, prune_info = prune_short_cycles(
-            HH,
-            U - Z,
-            two_ells=two_ells,
-            linear3=True,
-            clean4=clean4,
-            batch=cfg.prune_batch,
+        return set(
+            v
+            for i in (k - 1, k)
+            for v, c in within.get(i, {}).items()
+            if c > z_cut[i]
         )
-        if len(survivors) > trim_target > 0:
-            survivors = set(sorted(survivors)[:trim_target])
-        if not survivors:
-            last_fail = f"attempt {attempt}: nothing survived the pruning"
-            continue
-        order = sorted(survivors)
-        res, _ = HH.induce(order)
-        report = check_bouquet(res)
-        if not report.holds:
-            last_fail = (
-                f"attempt {attempt}: residue violates "
-                f"{sorted(report.violated_properties())}"
-            )
-            continue
-        if case == 2:
-            top = res.max_min_degree(k, k - 1)[0]
-            if top > resid_cap:
-                last_fail = (
-                    f"attempt {attempt}: residue ({k - 1})-set degree {top} "
-                    f"above {resid_cap:.4f}"
-                )
-                continue
 
-        T = 3 * ratio**delta
-        sched = build_schedule(max(1, res.n), T, k, strict=cfg.strict_schedule)
-        warnings.extend(sched.warnings)
-        inner = akpss_run(
-            res,
-            sched,
-            spawn_key(seed, "degree_gap", "akpss", attempt),
-            retries_per_round=cfg.akpss_retries,
-            check_input=False,
-        )
-        final = tuple(sorted(order[x] for x in inner.independent_set))
-        ok, witness = H.is_independent(final)
-        if not ok:
-            raise AssertionError(f"residue set spans an input edge: {witness}")
-        diag.update(
-            {
-                "attempt": attempt,
-                "sample": len(U),
-                "degree_filtered": len(Z),
-                "pruning": prune_info,
-                "residue": res.n,
-                "schedule": {"T": T, "M": sched.M, "N": res.n},
-                "rounds": inner.rounds,
-                "inner_diagnostics": inner.diagnostics,
-                "greedy_residue_size": len(greedy_set(res)),
-            }
-        )
-        warnings.extend(inner.warnings)
-        return RunCertificate(
-            algorithm="pipeline_degree_gap",
-            independent_set=final,
-            verified=True,
-            rounds=inner.rounds,
-            diagnostics=diag,
-            warnings=warnings,
-        )
-    raise ResidueNotBouquet(
-        f"no acceptable residue after {cfg.retries} attempts: {last_fail}"
+    return _rounds_on_residue(
+        H, HH, seed, "degree_gap", cfg, diag, warnings,
+        algorithm="pipeline_degree_gap",
+        p=p,
+        degree_filter=high_degree,
+        two_ells=tuple(range(2, k if case == 1 else k - 1)),
+        clean4=case == 1,  # case 1 deletes all short cycles
+        trim_target=trim_target,
+        T=3 * ratio**delta,
+        top_cap=resid_cap if case == 2 else None,
     )
 
 
@@ -453,8 +391,6 @@ def pipeline_graded_caps(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    if k < 4:
-        raise InvalidArguments(f"needs uniformity at least 4, got {k}")
     if t <= 1:
         raise InvalidArguments(f"needs t > 1, got {t}")
     if epsilon <= 0:
@@ -484,9 +420,6 @@ def pipeline_graded_caps(
     p = min(1.0, t ** (delta - 1))
     trim_target = int(0.5 * n * t ** (delta - 1))
     resid_cap = 2 * p * t / math.log(t) ** (k + 1)
-    deg_h = [0] * n
-    for x in range(n):
-        deg_h[x] = len(H.incidence[x])
 
     diag: dict = {
         "delta": delta,
@@ -496,29 +429,58 @@ def pipeline_graded_caps(
         "caps": caps,
     }
 
+    def high_degree(U):
+        within = _degrees_within(H, U).get(k, {})
+        return set(
+            v for v in U if within.get(v, 0) > 10 * p ** (k - 1) * len(H.incidence[v])
+        )
+
+    return _rounds_on_residue(
+        H, H, seed, "graded", cfg, diag, warnings,
+        algorithm="pipeline_graded_caps",
+        p=p,
+        degree_filter=high_degree,
+        two_ells=tuple(range(2, k - 1)),
+        clean4=False,
+        trim_target=trim_target,
+        T=10 ** (1 / (k - 1)) * t**delta,
+        top_cap=resid_cap,
+        record_top=True,
+    )
+
+
+def _rounds_on_residue(
+    H: LayeredHypergraph,
+    G: LayeredHypergraph,
+    seed: int | tuple[int, ...],
+    label: str,
+    cfg: PipelineConfig,
+    diag: dict,
+    warnings: list[str],
+    *,
+    algorithm: str,
+    p: float,
+    degree_filter,
+    two_ells: tuple[int, ...],
+    clean4: bool,
+    trim_target: int,
+    T: float,
+    top_cap: float | None = None,
+    record_top: bool = False,
+) -> RunCertificate:
+    """The attempt loop of the two degree-gap reductions: accept a residue
+    when check_bouquet holds and its (k-1)-set degrees stay at most top_cap
+    (if set), run the semi-random rounds on it, map back to H."""
+    k = H.k
     last_fail = ""
     for attempt in range(max(1, cfg.retries)):
-        rng = stream(seed, "graded", "sample", attempt)
-        U = _sample(n, p, rng)
-        within = _degrees_within(H, U).get(k, {})
-        Z = set(
-            v for v in U if within.get(v, 0) > 10 * p ** (k - 1) * deg_h[v]
+        U, Z, prune_info, order, res = _residue(
+            G, seed, label, attempt, p, degree_filter, trim_target,
+            two_ells=two_ells, linear3=True, clean4=clean4,
         )
-        survivors, prune_info = prune_short_cycles(
-            H,
-            U - Z,
-            two_ells=tuple(range(2, k - 1)),
-            linear3=True,
-            clean4=False,
-            batch=cfg.prune_batch,
-        )
-        if len(survivors) > trim_target > 0:
-            survivors = set(sorted(survivors)[:trim_target])
-        if not survivors:
+        if res is None:
             last_fail = f"attempt {attempt}: nothing survived the pruning"
             continue
-        order = sorted(survivors)
-        res, _ = H.induce(order)
         report = check_bouquet(res)
         if not report.holds:
             last_fail = (
@@ -526,28 +488,27 @@ def pipeline_graded_caps(
                 f"{sorted(report.violated_properties())}"
             )
             continue
-        top = res.max_min_degree(k, k - 1)[0]
-        if top > resid_cap:
-            last_fail = (
-                f"attempt {attempt}: residue ({k - 1})-set degree {top} "
-                f"above {resid_cap:.4f}"
-            )
-            continue
+        if top_cap is not None:
+            top = res.max_min_degree(k, k - 1)[0]
+            if top > top_cap:
+                last_fail = (
+                    f"attempt {attempt}: residue ({k - 1})-set degree {top} "
+                    f"above {top_cap:.4f}"
+                )
+                continue
 
-        T = 10 ** (1 / (k - 1)) * t**delta
         sched = build_schedule(max(1, res.n), T, k, strict=cfg.strict_schedule)
         warnings.extend(sched.warnings)
         inner = akpss_run(
             res,
             sched,
-            spawn_key(seed, "graded", "akpss", attempt),
+            spawn_key(seed, label, "akpss", attempt),
             retries_per_round=cfg.akpss_retries,
             check_input=False,
         )
-        final = tuple(sorted(order[x] for x in inner.independent_set))
-        ok, witness = H.is_independent(final)
-        if not ok:
-            raise AssertionError(f"residue set spans an input edge: {witness}")
+        final = _map_back(
+            H, order, inner.independent_set, "residue set spans an input edge"
+        )
         diag.update(
             {
                 "attempt": attempt,
@@ -555,7 +516,7 @@ def pipeline_graded_caps(
                 "degree_filtered": len(Z),
                 "pruning": prune_info,
                 "residue": res.n,
-                "residue_top_degree": top,
+                **({"residue_top_degree": top} if record_top else {}),
                 "schedule": {"T": T, "M": sched.M, "N": res.n},
                 "rounds": inner.rounds,
                 "inner_diagnostics": inner.diagnostics,
@@ -564,7 +525,7 @@ def pipeline_graded_caps(
         )
         warnings.extend(inner.warnings)
         return RunCertificate(
-            algorithm="pipeline_graded_caps",
+            algorithm=algorithm,
             independent_set=final,
             verified=True,
             rounds=inner.rounds,

@@ -14,26 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from .algorithms import (
-    PipelineConfig,
-    akpss_run,
-    greedy_set,
-    pipeline_degree_gap,
-    pipeline_graded_caps,
-    pipeline_kminus2,
-    spencer_set,
-)
 from .core import read_file, write_file
-from .errors import HyperindError, InvalidArguments
-from .generators import (
-    gen_disjoint_cliques,
-    gen_girth5,
-    gen_gnp,
-    gen_layered_bouquet,
-)
+from .errors import HyperindError
 from .harness import ExperimentConfig, diff_reports, run_experiment
 from .rng import stream
 from .schedule import build_schedule
+from .solvers import GENERATORS, SOLVERS, checked_params
 from .structure import (
     check_bouquet,
     find_clean_four_cycles,
@@ -42,46 +28,9 @@ from .structure import (
 )
 
 
-def _int_map(text: str, flag: str) -> dict[int, int]:
-    """Parse a JSON object of integer keys and values, e.g. '{"2": 10}'."""
-    try:
-        out = {int(i): c for i, c in json.loads(text).items()}
-    except (ValueError, AttributeError):  # not JSON, not an object, or a bad key
-        out = None
-    if out is None or any(type(c) is not int for c in out.values()):
-        raise InvalidArguments(
-            f'{flag} must be a JSON object of integers such as {{"2": 10}}, got {text!r}'
-        )
-    return out
-
-
 def _cmd_gen(args) -> int:
-    rng = stream(args.seed, "gen", args.kind)
-    info = {}
-    if args.kind == "gnp":
-        if args.p is None:
-            raise HyperindError("gnp needs --p")
-        H = gen_gnp(args.n, args.k, args.p, rng)
-    elif args.kind == "girth5":
-        if args.t is None:
-            raise HyperindError("girth5 needs --t")
-        H, info = gen_girth5(args.n, args.k, args.t, rng)
-    elif args.kind == "cliques":
-        if args.s is None:
-            raise HyperindError("cliques needs --s")
-        H, info = gen_disjoint_cliques(args.n, args.k, args.s)
-    else:
-        if args.counts is None:
-            raise HyperindError("bouquet needs --counts")
-        counts = _int_map(args.counts, "--counts")
-        caps = (
-            _int_map(args.vertex_caps, "--vertex-caps")
-            if args.vertex_caps
-            else None
-        )
-        H, info = gen_layered_bouquet(
-            args.n, args.k, counts, rng, vertex_caps=caps
-        )
+    params = checked_params(GENERATORS, args.kind, vars(args), flags=True)
+    H, info = GENERATORS[args.kind].run(params, stream(args.seed, "gen", args.kind))
     write_file(H, args.out)
     sizes = {i: c for i, c in H.layer_sizes().items() if c}
     print(f"wrote {args.out}: n={H.n} k={H.k} edges={H.num_edges()} layers={sizes}")
@@ -157,70 +106,17 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_solve(args) -> int:
     H = read_file(args.path)
-    pipe_cfg = PipelineConfig(
-        retries=args.retries,
-        akpss_retries=args.retries,
-        trust_preconditions=args.trust,
-    )
-    warnings: list[str] = []
-    if args.algorithm == "greedy":
-        picked = greedy_set(H, rng=stream(args.seed), order=args.order)
-        algorithm = "greedy"
-    elif args.algorithm == "spencer":
-        picked = spencer_set(H, stream(args.seed), samples=args.samples)
-        algorithm = "spencer"
-    elif args.algorithm == "akpss":
-        if args.T is None:
-            raise HyperindError("akpss needs --T")
-        sched = build_schedule(H.n, args.T, H.k, strict=args.strict)
-        cert = akpss_run(
-            H,
-            sched,
-            args.seed,
-            retries_per_round=args.retries,
-            check_input=not args.trust,
-        )
-        picked, algorithm, warnings = (
-            cert.independent_set,
-            cert.algorithm,
-            cert.warnings,
-        )
-    elif args.algorithm == "pkm2":
-        if args.d is None:
-            raise HyperindError("pkm2 needs --d")
-        cert = pipeline_kminus2(H, args.d, args.seed, pipe_cfg)
-        picked, algorithm, warnings = (
-            cert.independent_set,
-            cert.algorithm,
-            cert.warnings,
-        )
-    elif args.algorithm == "appA":
-        if args.d is None:
-            raise HyperindError("appA needs --d")
-        cert = pipeline_degree_gap(
-            H, args.d, args.case, args.seed, epsilon=args.epsilon, config=pipe_cfg
-        )
-        picked, algorithm, warnings = (
-            cert.independent_set,
-            cert.algorithm,
-            cert.warnings,
-        )
-    else:
-        if args.t is None or args.epsilon is None:
-            raise HyperindError("appB needs --t and --epsilon")
-        cert = pipeline_graded_caps(H, args.t, args.seed, args.epsilon, pipe_cfg)
-        picked, algorithm, warnings = (
-            cert.independent_set,
-            cert.algorithm,
-            cert.warnings,
-        )
-
-    ok, witness = H.is_independent(picked)
-    if not ok:
+    # --retries bounds the pipelines' attempts and the rounds' retries alike
+    params = dict(vars(args), akpss_retries=args.retries)
+    params = checked_params(SOLVERS, args.algorithm, params, flags=True)
+    cert = SOLVERS[args.algorithm].run(H, params, args.seed)
+    picked, algorithm = cert.independent_set, cert.algorithm
+    if not cert.verified:  # every runner verifies its set against H
+        witness = H.is_independent(picked)[1]
         print(f"verification failed, spanned edge {witness}", file=sys.stderr)
         return 1
     print(f"{algorithm}: found {len(picked)} of {H.n} vertices, verified")
-    for w in warnings:
+    for w in cert.warnings:
         print(f"  warning: {w}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -236,7 +132,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    report = run_experiment(cfg, args.out_dir, threads=args.threads)
+    report = run_experiment(cfg, args.out_dir)
     bad = [r for r in report["rows"] if not r["verified"]]
     for algorithm, agg in sorted(report["aggregates"].items()):
         print(
@@ -270,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("--kind", required=True, choices=("gnp", "girth5", "cliques", "bouquet"))
+    g.add_argument("--kind", required=True, choices=tuple(GENERATORS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
@@ -298,11 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="run one solver on an instance file")
     so.add_argument("path")
-    so.add_argument(
-        "--algorithm",
-        required=True,
-        choices=("greedy", "spencer", "akpss", "pkm2", "appA", "appB"),
-    )
+    so.add_argument("--algorithm", required=True, choices=tuple(SOLVERS))
     so.add_argument("--seed", type=int, default=0)
     so.add_argument("--out", help="certificate file to write")
     so.add_argument("--order", default="mindegree", choices=("mindegree", "random"))
@@ -314,13 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--epsilon", type=float, help="gap parameter (appA case 1, appB)")
     so.add_argument("--case", type=int, default=1, choices=(1, 2), help="appA case")
     so.add_argument("--strict", action="store_true")
-    so.add_argument("--trust", action="store_true", help="skip input checks")
+    so.add_argument(
+        "--trust", dest="trust_preconditions", action="store_true", help="skip input checks"
+    )
     so.set_defaults(func=_cmd_solve)
 
     e = sub.add_parser("experiment", help="run an experiment config")
     e.add_argument("config")
     e.add_argument("--out-dir", default=".")
-    e.add_argument("--threads", type=int, default=None)
     e.set_defaults(func=_cmd_experiment)
 
     d = sub.add_parser("diff", help="compare two experiment reports")
@@ -335,7 +228,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HyperindError, OSError) as exc:
+    # OverflowError: parameters too large for float arithmetic
+    except (HyperindError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

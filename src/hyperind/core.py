@@ -68,6 +68,14 @@ def _as_vertex(v, n: int) -> int:
     return v
 
 
+def _vertex_set(vertices) -> set:
+    """set(vertices), with unhashable ids raised as InvalidVertex."""
+    try:
+        return set(vertices)
+    except TypeError as exc:
+        raise InvalidVertex(f"vertex ids must be integers: {exc}") from None
+
+
 class LayeredHypergraph:
     """Vertex set {0..n-1} with one edge layer per uniformity 2..k.
 
@@ -191,7 +199,7 @@ class LayeredHypergraph:
 
         deg of the empty set is the total edge count.
         """
-        s = set(vertices)
+        s = _vertex_set(vertices)
         if not s:
             return self.num_edges()
         for v in s:
@@ -273,7 +281,7 @@ class LayeredHypergraph:
         """
         if radius < 0:
             raise InvalidArguments("radius must be nonnegative")
-        current = set(vertices)
+        current = _vertex_set(vertices)
         for v in current:
             if type(v) is not int or not (0 <= v < self.n):
                 _as_vertex(v, self.n)
@@ -316,7 +324,7 @@ class LayeredHypergraph:
         hypergraph and the old->new relabeling map (ascending ids map to
         ascending ids).
         """
-        uset = set(vertices)
+        uset = _vertex_set(vertices)
         for v in uset:
             if type(v) is not int or not (0 <= v < self.n):
                 _as_vertex(v, self.n)
@@ -331,7 +339,7 @@ class LayeredHypergraph:
 
     def is_independent(self, vertices) -> tuple[bool, Edge | None]:
         """Whether no edge lies inside the set; returns a witness edge if one does."""
-        s = set(vertices)
+        s = _vertex_set(vertices)
         for v in s:
             if type(v) is not int or not (0 <= v < self.n):
                 _as_vertex(v, self.n)
@@ -390,7 +398,7 @@ def contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredHypergra
     another surviving one, so no edge of the result nests inside a smaller
     edge.  Contractions of size <= 1 are dropped and counted.
     """
-    vset = set(vstar)
+    vset = _vertex_set(vstar)
     for v in vset:
         if type(v) is not int or not (0 <= v < H.n):
             _as_vertex(v, H.n)

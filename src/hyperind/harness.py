@@ -11,46 +11,25 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algorithms import (
-    PipelineConfig,
-    akpss_run,
-    greedy_set,
-    pipeline_degree_gap,
-    pipeline_graded_caps,
-    pipeline_kminus2,
-    spencer_set,
-)
 from .core import LayeredHypergraph, read_file
 from .errors import HyperindError, InvalidArguments, OutOfDomain, SchemaError
-from .generators import (
-    gen_disjoint_cliques,
-    gen_girth5,
-    gen_gnp,
-    gen_layered_bouquet,
-)
 from .rng import spawn_key, stream
-from .schedule import build_schedule, reference_bound
+from .schedule import reference_bound
+from .solvers import GENERATORS as _INSTANCE_GENERATORS
+from .solvers import SOLVERS, Entry, checked_params
 
 SCHEMA_VERSION = 1
 
-GENERATORS = ("gnp", "girth5", "cliques", "bouquet", "file")
-ALGORITHMS = ("greedy", "spencer", "akpss", "pkm2", "appA", "appB")
-
-# closed-form yardstick per solver; trivial fallback is the vertex count
-_REFERENCE_FOR = {
-    "greedy": "spencer",
-    "spencer": "spencer",
-    "akpss": "main",
-    "pkm2": "loglog",
-    "appA": "log",
-    "appB": "main",
+_GENERATORS = {
+    **_INSTANCE_GENERATORS,
+    "file": Entry(lambda params, rng: (read_file(params["path"]), {}), ("path",)),
 }
+GENERATORS = tuple(_GENERATORS)
+ALGORITHMS = tuple(SOLVERS)
 
 _CSV_COLUMNS = (
     "trial",
@@ -76,6 +55,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise InvalidArguments(f"config must be an object, got {data!r}")
         required = {"name", "seed", "trials", "generator", "algorithms"}
         missing = required - set(data)
         if missing:
@@ -83,20 +64,29 @@ class ExperimentConfig:
         unknown = set(data) - required - {"generator_params"}
         if unknown:
             raise InvalidArguments(f"config has unknown keys {sorted(unknown)}")
+        for key in ("seed", "trials"):
+            if type(data[key]) is not int:
+                raise InvalidArguments(f"{key} must be an integer, got {data[key]!r}")
+        specs = data["algorithms"]
+        if not isinstance(specs, list) or not all(isinstance(a, dict) for a in specs):
+            raise InvalidArguments(f"algorithms must be a list of objects, got {specs!r}")
         cfg = cls(
             name=str(data["name"]),
-            seed=int(data["seed"]),
-            trials=int(data["trials"]),
+            seed=data["seed"],
+            trials=data["trials"],
             generator=str(data["generator"]),
-            generator_params=dict(data.get("generator_params", {})),
-            algorithms=[dict(a) for a in data["algorithms"]],
+            generator_params=data.get("generator_params", {}),
+            algorithms=specs,
         )
+        if not cfg.name or Path(cfg.name).name != cfg.name or "\0" in cfg.name:
+            raise InvalidArguments(f"name must be a plain file name, got {cfg.name!r}")
         if cfg.trials < 1:
             raise InvalidArguments(f"trials must be positive, got {cfg.trials}")
         if cfg.generator not in GENERATORS:
             raise InvalidArguments(
                 f"unknown generator {cfg.generator!r}; choose from {GENERATORS}"
             )
+        _generator_params(cfg)
         for spec in cfg.algorithms:
             if "algorithm" not in spec:
                 raise InvalidArguments(f"algorithm spec {spec} lacks 'algorithm'")
@@ -105,50 +95,36 @@ class ExperimentConfig:
                     f"unknown algorithm {spec['algorithm']!r}; "
                     f"choose from {ALGORITHMS}"
                 )
+            _solver_params(spec)
         return cfg
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_load_json(path))
+
+
+def _load_json(path: str | Path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _generator_params(cfg: ExperimentConfig) -> dict:
+    return checked_params(_GENERATORS, cfg.generator, cfg.generator_params)
+
+
+def _solver_params(spec: dict) -> dict:
+    return checked_params(SOLVERS, spec["algorithm"], spec.get("params", {}))
 
 
 def _generate(cfg: ExperimentConfig, trial: int) -> LayeredHypergraph:
-    params = dict(cfg.generator_params)
     rng = stream(cfg.seed, "trial", trial)
-    if cfg.generator == "gnp":
-        return gen_gnp(int(params["n"]), int(params["k"]), float(params["p"]), rng)
-    if cfg.generator == "girth5":
-        H, _ = gen_girth5(
-            int(params["n"]), int(params["k"]), float(params["t"]), rng
-        )
-        return H
-    if cfg.generator == "cliques":
-        H, _ = gen_disjoint_cliques(
-            int(params["n"]), int(params["k"]), int(params["s"])
-        )
-        return H
-    if cfg.generator == "bouquet":
-        counts = {int(i): int(c) for i, c in dict(params["counts"]).items()}
-        H, _ = gen_layered_bouquet(
-            int(params["n"]),
-            int(params["k"]),
-            counts,
-            rng,
-            vertex_caps=(
-                {int(i): int(c) for i, c in dict(params["vertex_caps"]).items()}
-                if "vertex_caps" in params
-                else None
-            ),
-        )
-        return H
-    if cfg.generator == "file":
-        return read_file(params["path"])
-    raise InvalidArguments(f"unknown generator {cfg.generator!r}")
+    return _GENERATORS[cfg.generator].run(_generator_params(cfg), rng)[0]
 
 
 def _average_degree(H: LayeredHypergraph) -> tuple[int, float]:
@@ -161,7 +137,7 @@ def _average_degree(H: LayeredHypergraph) -> tuple[int, float]:
 
 
 def _reference_for(algorithm: str, H: LayeredHypergraph, params: dict) -> tuple[float, str]:
-    kind = _REFERENCE_FOR[algorithm]
+    kind = SOLVERS[algorithm].reference
     k, d_avg = _average_degree(H)
     try:
         if kind == "main":
@@ -179,82 +155,31 @@ def _reference_for(algorithm: str, H: LayeredHypergraph, params: dict) -> tuple[
         return float(H.n), "trivial"
 
 
-def _run_algorithm(
-    spec: dict, H: LayeredHypergraph, cfg: ExperimentConfig, trial: int
-) -> tuple[tuple[int, ...], bool]:
-    algorithm = spec["algorithm"]
-    params = dict(spec.get("params", {}))
-    seed = spawn_key(cfg.seed, "trial", trial, "algo", algorithm)
-    if algorithm == "greedy":
-        picked = greedy_set(
-            H, rng=stream(seed), order=params.get("order", "mindegree")
-        )
-        return picked, H.is_independent(picked)[0]
-    if algorithm == "spencer":
-        picked = spencer_set(H, stream(seed), samples=int(params.get("samples", 20)))
-        return picked, H.is_independent(picked)[0]
-    pipe_cfg = PipelineConfig(
-        retries=int(params.get("retries", 16)),
-        akpss_retries=int(params.get("akpss_retries", 16)),
-        delta=params.get("delta"),
-        trust_preconditions=bool(params.get("trust_preconditions", False)),
-    )
-    if algorithm == "akpss":
-        T = float(params["T"])
-        sched = build_schedule(H.n, T, H.k, strict=bool(params.get("strict", False)))
-        cert = akpss_run(
-            H,
-            sched,
-            seed,
-            retries_per_round=int(params.get("retries", 16)),
-            check_input=not params.get("trust_preconditions", False),
-        )
-        return cert.independent_set, cert.verified
-    if algorithm == "pkm2":
-        cert = pipeline_kminus2(H, float(params["d"]), seed, pipe_cfg)
-        return cert.independent_set, cert.verified
-    if algorithm == "appA":
-        cert = pipeline_degree_gap(
-            H,
-            float(params["d"]),
-            int(params.get("case", 1)),
-            seed,
-            epsilon=params.get("epsilon"),
-            config=pipe_cfg,
-        )
-        return cert.independent_set, cert.verified
-    if algorithm == "appB":
-        cert = pipeline_graded_caps(
-            H, float(params["t"]), seed, float(params["epsilon"]), pipe_cfg
-        )
-        return cert.independent_set, cert.verified
-    raise InvalidArguments(f"unknown algorithm {algorithm!r}")
-
-
 def _run_trial(cfg: ExperimentConfig, trial: int) -> tuple[list[dict], list[dict]]:
     H = _generate(cfg, trial)
     rows: list[dict] = []
     runtimes: list[dict] = []
     for spec in cfg.algorithms:
         algorithm = spec["algorithm"]
+        params = _solver_params(spec)
+        seed = spawn_key(cfg.seed, "trial", trial, "algo", algorithm)
         started = time.perf_counter()
         try:
-            picked, verified = _run_algorithm(spec, H, cfg, trial)
+            cert = SOLVERS[algorithm].run(H, params, seed)
         except HyperindError as exc:
             raise type(exc)(f"trial {trial}, {algorithm}: {exc}") from exc
         elapsed = time.perf_counter() - started
-        reference, kind = _reference_for(
-            algorithm, H, dict(spec.get("params", {}))
-        )
-        ratio = len(picked) / reference if reference > 0 else math.inf
+        reference, kind = _reference_for(algorithm, H, params)
+        size = len(cert.independent_set)
+        ratio = size / reference if reference > 0 else math.inf
         rows.append(
             {
                 "trial": trial,
                 "algorithm": algorithm,
                 "n": H.n,
                 "k": H.k,
-                "size": len(picked),
-                "verified": verified,
+                "size": size,
+                "verified": cert.verified,
                 "reference": round(reference, 6),
                 "ratio": round(ratio, 6),
                 "reference_kind": kind,
@@ -292,31 +217,16 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path, threads: int | None = None
-) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run all trials, write <name>.csv and <name>.json under out_dir, and
     return the report dict.
 
-    threads defaults to the HYPERIND_THREADS environment variable (then 1).
     The CSV is deterministic for a fixed config; runtimes live only in the
     JSON report.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads is None:
-        threads = int(os.environ.get("HYPERIND_THREADS", "1"))
-    threads = max(1, threads)
-
-    results: list[tuple[list[dict], list[dict]]] = []
-    if threads == 1:
-        for trial in range(cfg.trials):
-            results.append(_run_trial(cfg, trial))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda i: _run_trial(cfg, i), range(cfg.trials))
-            )
+    results = [_run_trial(cfg, trial) for trial in range(cfg.trials)]
 
     rows = [row for trial_rows, _ in results for row in trial_rows]
     runtimes = [rt for _, trial_rts in results for rt in trial_rts]
@@ -343,7 +253,6 @@ def run_experiment(
         "rows": rows,
         "aggregates": _aggregate(rows),
         "runtimes": runtimes,
-        "threads": threads,
     }
     json_path = out / f"{cfg.name}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -352,6 +261,7 @@ def run_experiment(
     return report
 
 
+# "threads" is the worker count of reports written by the former thread pool
 _VOLATILE_KEYS = ("runtimes", "seconds", "threads")
 
 
@@ -361,17 +271,7 @@ def diff_reports(a: dict | str | Path, b: dict | str | Path) -> list[str]:
     Returns human-readable difference lines; empty means the reports agree.
     Raises SchemaError when the schema versions differ.
     """
-
-    def load(x):
-        if isinstance(x, (str, Path)):
-            with open(x, "r", encoding="utf-8") as fh:
-                try:
-                    return json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{x} is not valid JSON: {exc}") from exc
-        return x
-
-    ra, rb = load(a), load(b)
+    ra, rb = (_load_json(x) if isinstance(x, (str, Path)) else x for x in (a, b))
     va, vb = ra.get("schema_version"), rb.get("schema_version")
     if va != vb:
         raise SchemaError(f"schema versions differ: {va} vs {vb}")

@@ -11,7 +11,7 @@ import pytest
 
 from hyperind.algorithms import akpss_run, akpss_step, deg_i_to_j, mu_i_to_j
 from hyperind.core import LayeredHypergraph
-from hyperind.errors import PreconditionFailed, RoundCollapsed
+from hyperind.errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from hyperind.generators import gen_layered_bouquet
 from hyperind.rng import stream
 from hyperind.schedule import build_schedule
@@ -170,6 +170,13 @@ def test_run_rejects_cycle_heavy_input():
     sched = build_schedule(9, math.e ** 2, 3)
     with pytest.raises(PreconditionFailed):
         akpss_run(H, sched, seed=1)
+
+
+def test_run_rejects_nonpositive_retries():
+    H = LayeredHypergraph(100, 2)
+    for retries in (0, -1):
+        with pytest.raises(InvalidArguments, match="retries_per_round"):
+            akpss_run(H, two_layer_sched(100), seed=1, retries_per_round=retries)
 
 
 def test_run_warns_on_degrees_above_round_zero_caps():

@@ -1,7 +1,11 @@
 """End-to-end runs of the command line tool via main(argv)."""
 
+import copy
 import json
 import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperind.cli import main
 from hyperind.core import LayeredHypergraph, read_file, write_file
@@ -250,3 +254,155 @@ def test_solve_huge_header_exit_2(tmp_path, capsys):
     assert code == 2
     assert "line 1" in err and "exceeds the limit" in err
     assert "Traceback" not in err
+
+
+def test_solve_strict_reaches_pipelines(tmp_path, capsys):
+    H = LayeredHypergraph(8, 4)
+    H.add_edge((0, 1, 2, 3))
+    H.add_edge((0, 1, 2, 4))  # triple (0,1,2) has degree 2 > t/(log t)^5
+    path = tmp_path / "caps.hg"
+    write_file(H, path)
+    argv = ("solve", path, "--algorithm", "appB", "--t", 3, "--epsilon", 0.5)
+    code, out, err = run(capsys, *argv, "--strict")
+    assert code == 2
+    assert "exceeds cap" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "warning: max 3-set degree 2 exceeds cap" in out
+
+
+MALFORMED_CONFIGS = {
+    "appA without d": {"algorithms": [{"algorithm": "appA", "params": {}}]},
+    "akpss without T": {"algorithms": [{"algorithm": "akpss", "params": {"retries": 2}}]},
+    "gnp without n": {"generator_params": {"k": 3, "p": 0.05}},
+    "samples not an integer": {
+        "algorithms": [{"algorithm": "spencer", "params": {"samples": "abc"}}]
+    },
+    "seed not an integer": {"seed": "x"},
+    "algorithms not a list": {"algorithms": 5},
+    "params not an object": {"algorithms": [{"algorithm": "greedy", "params": [1]}]},
+    "name with a NUL byte": {"name": "a\0b"},
+    "name with a directory": {"name": "../up"},
+}
+
+
+def small_config(**overrides):
+    cfg = {
+        "name": "fuzz",
+        "seed": 5,
+        "trials": 2,
+        "generator": "gnp",
+        "generator_params": {"n": 10, "k": 3, "p": 0.05},
+        "algorithms": [{"algorithm": "greedy"}, {"algorithm": "spencer"}],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_fields_exit_2(tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(**MALFORMED_CONFIGS[case])), encoding="utf-8")
+    code, _, err = run(capsys, "experiment", path, "--out-dir", tmp_path / "o")
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "o").exists()  # rejected before any trial ran
+
+
+def fuzz_main(argv) -> int:
+    """main's exit code; argparse's usage errors count as exit 2."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+# what a mutation may put in a flag or a config field; integers stay small
+# because a config's n, k and trials size its instances, and check_bouquet
+# on a dense instance takes seconds at n=10, k=5
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.floats(-1e3, 1e3),
+    st.sampled_from(
+        [0.0625, math.e ** 2, math.nan, math.inf, -math.inf, 1e300, "", "abc",
+         "1.5", "true", None, True, [1], {"2": 1.5}, {"2": 3}]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, argv in (
+        ("k3", ("--kind", "gnp", "--n", 40, "--k", 3, "--p", 0.002)),
+        ("k4", ("--kind", "gnp", "--n", 60, "--k", 4, "--p", 0.0003)),
+        ("pairs", ("--kind", "bouquet", "--n", 30, "--k", 2, "--counts", '{"2": 5}')),
+    ):
+        paths[name] = base / f"{name}.hg"
+        assert main(["gen", *map(str, argv), "--out", str(paths[name])]) == 0
+    return base, paths
+
+
+SOLVE_BASE = {
+    "greedy": ("k3",),
+    "spencer": ("k3",),
+    "akpss": ("pairs", "--T", math.e ** 2, "--retries", 2),
+    "pkm2": ("k4", "--d", 16),
+    "appA": ("k4", "--d", 1, "--epsilon", 0.0625),
+    "appB": ("k4", "--t", 3, "--epsilon", 0.5),
+}
+SOLVE_FLAGS = ("--seed", "--order", "--samples", "--retries", "--T", "--d", "--t",
+               "--epsilon", "--case", "--strict", "--trust", "--algorithm", "--out")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_solve_argv_never_raises(fuzz_inputs, data):
+    base, paths = fuzz_inputs
+    algorithm = data.draw(st.sampled_from(sorted(SOLVE_BASE)))
+    instance, *flags = SOLVE_BASE[algorithm]
+    argv = ["solve", paths[instance], "--algorithm", algorithm, *flags]
+    for _ in range(data.draw(st.integers(1, 3))):
+        flag = data.draw(st.sampled_from(SOLVE_FLAGS))
+        if flag in ("--strict", "--trust"):
+            argv.append(flag)
+        elif flag == "--out":
+            argv += [flag, base / "cert.txt"]
+        else:
+            argv += [flag, data.draw(FUZZ_VALUES)]
+    assert fuzz_main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_experiment_config_never_raises(fuzz_inputs, data):
+    base, paths = fuzz_inputs
+    cfg = small_config(
+        algorithms=[
+            {"algorithm": "greedy", "params": {"order": "random"}},
+            {"algorithm": "spencer", "params": {"samples": 20}},
+            {"algorithm": "akpss", "params": {"T": math.e ** 2, "retries": 2}},
+            {"algorithm": "appB", "params": {"t": 3, "epsilon": 0.5, "retries": 2}},
+        ],
+    )
+    cfg = data.draw(st.sampled_from([
+        cfg,
+        {**cfg, "generator": "bouquet",
+         "generator_params": {"n": 10, "k": 2, "counts": {"2": 3}}},
+        {**cfg, "generator": "file", "generator_params": {"path": str(paths["k4"])}},
+    ]))
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(data.draw(st.integers(1, 3))):
+        owners = [cfg, cfg.get("generator_params")]
+        if isinstance(cfg.get("algorithms"), list):
+            owners += [a.get("params") for a in cfg["algorithms"] if isinstance(a, dict)]
+        owner = data.draw(st.sampled_from([o for o in owners if isinstance(o, dict) and o]))
+        key = data.draw(st.sampled_from(sorted(owner)))
+        if data.draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(data.draw(FUZZ_VALUES))  # later steps may edit it
+    path = base / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert fuzz_main(["experiment", path, "--out-dir", base / "out"]) in (0, 1, 2)
