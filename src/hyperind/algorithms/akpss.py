@@ -29,6 +29,14 @@ from ..schedule import Schedule
 from ..structure import check_bouquet
 from .regular import almost_regular_complete
 
+# attempts per round here, and per residue in the pipelines
+MAX_RETRIES = 1_000
+
+
+def check_retries(name: str, value: int) -> None:
+    if not 1 <= value <= MAX_RETRIES:
+        raise InvalidArguments(f"{name} must lie in 1..{MAX_RETRIES}, got {value}")
+
 
 def deg_i_to_j(
     H: LayeredHypergraph,
@@ -284,8 +292,7 @@ def akpss_run(
     attempts the attempt with the largest harvest wins.  Streams are derived
     from (seed, "round", m, "attempt", a), so runs are reproducible.
     """
-    if retries_per_round < 1:
-        raise InvalidArguments(f"retries_per_round must be positive, got {retries_per_round}")
+    check_retries("retries_per_round", retries_per_round)
     warnings: list[str] = []
     if check_input:
         report = check_bouquet(H)

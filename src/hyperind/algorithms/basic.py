@@ -12,6 +12,7 @@ from ..core import LayeredHypergraph
 from ..errors import InvalidArguments
 
 GREEDY_ORDERS = ("mindegree", "random")
+MAX_SAMPLES = 10_000  # spencer_set draws one subset per sample
 
 
 def spencer_set(
@@ -27,8 +28,8 @@ def spencer_set(
     largest uniformity that actually carries edges.  With d = 0 the whole
     vertex set is independent and is returned as-is.
     """
-    if samples < 20:
-        raise InvalidArguments(f"samples must be at least 20, got {samples}")
+    if not 20 <= samples <= MAX_SAMPLES:
+        raise InvalidArguments(f"samples must lie in 20..{MAX_SAMPLES}, got {samples}")
     n = H.n
     if n == 0:
         return ()

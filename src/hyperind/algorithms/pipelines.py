@@ -31,7 +31,7 @@ from ..structure import (
     find_clean_four_cycles,
     prune_short_cycles,
 )
-from .akpss import RunCertificate, akpss_run
+from .akpss import RunCertificate, akpss_run, check_retries
 from .basic import greedy_set
 
 
@@ -43,6 +43,10 @@ class PipelineConfig:
     delta: float | None = None  # case-2 sampling exponent, must be < 1/(4k^2)
     trust_preconditions: bool = False
     strict_schedule: bool = False
+
+    def __post_init__(self):
+        check_retries("retries", self.retries)
+        check_retries("akpss_retries", self.akpss_retries)
 
 
 # vertices dropped per pruning pass; the residue replays in the tests assume it
@@ -175,7 +179,7 @@ def pipeline_kminus2(
         return set(v for v in U if deg_u.get(v, 0) >= heavy_cut)
 
     last_fail = ""
-    for attempt in range(max(1, cfg.retries)):
+    for attempt in range(cfg.retries):
         U, ustar, prune_info, order, res = _residue(
             H, seed, "kminus2", attempt, p, heavy_vertices, m_target,
             two_ells=tuple(range(2, k - 1)), linear3=False, clean4=False,
@@ -473,7 +477,7 @@ def _rounds_on_residue(
     (if set), run the semi-random rounds on it, map back to H."""
     k = H.k
     last_fail = ""
-    for attempt in range(max(1, cfg.retries)):
+    for attempt in range(cfg.retries):
         U, Z, prune_info, order, res = _residue(
             G, seed, label, attempt, p, degree_filter, trim_target,
             two_ells=two_ells, linear3=True, clean4=clean4,

@@ -4,6 +4,13 @@ New edges join vertices that are pairwise at distance >= 4 in the current
 graph, which keeps every short-cycle condition intact and keeps new pair
 degrees at 1.  Vertices still short of a cap at the end form the exceptional
 set B with |B| <= k^2 * b^3 for b = 1 + sum (i-1) * cap_i.
+
+The distance test needs no radius-3 ball: dist(x, y) <= 3 iff the closed
+neighbourhood N[y] meets the closed radius-2 ball N^2[x], so a candidate is
+tested against the union of the chosen vertices' N^2.  In layer 2 every edge
+added while x is the smallest deficient vertex contains x, and distances and
+the deficient set only shrink, so x's next partner is never before its last
+one: one cursor walks the candidates, and adding {x, y} grows N^2[x] by N[y].
 """
 
 from __future__ import annotations
@@ -57,9 +64,14 @@ def almost_regular_complete(
     H2 = H.copy()
     n = H2.n
     deg = {i: [0] * n for i in range(2, H2.k + 1)}
+    near = [{x} for x in range(n)]  # closed neighbourhoods N[x], kept current
     for x in range(n):
-        for layer, _ in H2.incidence[x]:
+        for layer, idx in H2.incidence[x]:
             deg[layer][x] += 1
+            near[x].update(H2.layers[layer][idx])
+
+    def ball(x: int) -> set[int]:  # N^2[x], the closed radius-2 ball
+        return set().union(*(near[w] for w in near[x]))
 
     b = 1 + sum((i - 1) * vertex_caps.get(i, 0) for i in range(2, H2.k + 1))
     added = {i: 0 for i in range(2, H2.k + 1)}
@@ -74,24 +86,35 @@ def almost_regular_complete(
             stalled.append(i)
             continue
         deficient = set(x for x in range(n) if deg[i][x] < cap)
+        order = sorted(deficient)  # deficient only shrinks: skip stale entries
+        head = 0
+        lead = cursor = -1  # layer 2: x's ball and next partner survive its edges
         while len(deficient) >= i:
-            chosen: list[int] = []
-            excluded: set[int] = set()
-            for x in sorted(deficient):
-                if x in excluded:
-                    continue
-                chosen.append(x)
-                if len(chosen) == i:
-                    break
-                excluded |= H2.neighborhood({x}, 3)
-            if len(chosen) < i:
+            while order[head] not in deficient:
+                head += 1
+            x = order[head]
+            if x != lead:
+                excluded, cursor = ball(x), head + 1
+            chosen = [x]
+            for pos in range(cursor, len(order)):
+                y = order[pos]
+                if y in deficient and excluded.isdisjoint(near[y]):
+                    chosen.append(y)
+                    if len(chosen) == i:
+                        break
+                    excluded |= ball(y)
+            else:
                 break
             H2.add_edge(chosen)
             added[i] += 1
-            for x in chosen:
-                deg[i][x] += 1
-                if deg[i][x] >= cap:
-                    deficient.discard(x)
+            for v in chosen:
+                near[v].update(chosen)
+                deg[i][v] += 1
+                if deg[i][v] >= cap:
+                    deficient.discard(v)
+            if i == 2:
+                lead, cursor = x, pos + 1
+                excluded |= near[y]
         if deficient:
             stalled.append(i)
 

@@ -115,11 +115,10 @@ def gen_girth5(
     """
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    if n < k:
-        return LayeredHypergraph(n, k), {"initial_edges": 0}
-    if t <= 0:
-        raise InvalidArguments(f"t must be positive, got {t}")
-    p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1))
+    if not (math.isfinite(t) and t > 0):
+        raise InvalidArguments(f"t must be finite and positive, got {t}")
+    # with n < k there is no k-set to draw, and the stages find nothing
+    p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1)) if n >= k else 0.0
     H = gen_gnp(n, k, p, rng)
     initial = H.num_edges()
 

@@ -508,3 +508,102 @@ def replay_girth5(n, k, t, rng, batch=512):
     info["final_n"] = H.n
     info["final_edges"] = H.num_edges()
     return H, info
+
+
+def replay_almost_regular_complete(
+    H: LayeredHypergraph,
+    vertex_caps: dict[int, int],
+    pair_caps: dict[int, int] | None = None,
+    check_input: bool = True,
+) -> tuple[LayeredHypergraph, set[int], dict]:
+    """Degree completion straight from the distance rule: one radius-3
+    ``neighborhood`` per chosen vertex of each added edge, and a fresh
+    ``sorted(deficient)`` per edge.
+
+    ``almost_regular_complete`` tests radius-2 balls against closed
+    neighbourhoods and walks layer 2 with a cursor instead; the two must
+    return the same ``(H2, B, info)`` on every input.
+    """
+    from hyperind.errors import InvalidArguments, PreconditionFailed
+    from hyperind.structure import check_bouquet
+
+    pair_caps = dict(pair_caps or {})
+    for i in range(2, H.k + 1):
+        if i not in vertex_caps:
+            raise InvalidArguments(f"vertex_caps missing layer {i}")
+        if vertex_caps[i] < 0 or pair_caps.get(i, 0) < 0:
+            raise InvalidArguments("caps must be nonnegative")
+
+    if check_input:
+        report = check_bouquet(H)
+        if not report.holds:
+            raise PreconditionFailed(
+                "input violates the short-cycle conditions", witness=report
+            )
+        for i in range(2, H.k + 1):
+            dmax = H.max_min_degree(i, 1)[0]
+            if dmax > vertex_caps[i]:
+                raise PreconditionFailed(
+                    f"layer {i} has a vertex of degree {dmax} above cap {vertex_caps[i]}"
+                )
+            if i >= 3 and i in pair_caps:
+                pmax = H.max_min_degree(i, i - 1)[0]
+                if pmax > pair_caps[i]:
+                    raise PreconditionFailed(
+                        f"layer {i} has an ({i - 1})-set of degree {pmax} "
+                        f"above cap {pair_caps[i]}"
+                    )
+
+    H2 = H.copy()
+    n = H2.n
+    deg = {i: [0] * n for i in range(2, H2.k + 1)}
+    for x in range(n):
+        for layer, _ in H2.incidence[x]:
+            deg[layer][x] += 1
+
+    b = 1 + sum((i - 1) * vertex_caps.get(i, 0) for i in range(2, H2.k + 1))
+    added = {i: 0 for i in range(2, H2.k + 1)}
+    stalled: list[int] = []
+
+    for i in range(2, H2.k + 1):
+        cap = vertex_caps[i]
+        if cap == 0:
+            continue
+        if i >= 3 and pair_caps.get(i, 1) < 1:
+            # any new i-edge gives its (i-1)-subsets degree 1, so nothing fits
+            stalled.append(i)
+            continue
+        deficient = set(x for x in range(n) if deg[i][x] < cap)
+        while len(deficient) >= i:
+            chosen: list[int] = []
+            excluded: set[int] = set()
+            for x in sorted(deficient):
+                if x in excluded:
+                    continue
+                chosen.append(x)
+                if len(chosen) == i:
+                    break
+                excluded |= H2.neighborhood({x}, 3)
+            if len(chosen) < i:
+                break
+            H2.add_edge(chosen)
+            added[i] += 1
+            for x in chosen:
+                deg[i][x] += 1
+                if deg[i][x] >= cap:
+                    deficient.discard(x)
+        if deficient:
+            stalled.append(i)
+
+    B = set()
+    for i in range(2, H2.k + 1):
+        cap = vertex_caps[i]
+        B.update(x for x in range(n) if deg[i][x] < cap)
+
+    info = {
+        "b": b,
+        "b_bound": H2.k * H2.k * b**3,
+        "added_per_layer": added,
+        "stalled_layers": stalled,
+    }
+    return H2, B, info

@@ -9,13 +9,17 @@ import math
 
 import pytest
 
+import hyperind.algorithms.akpss as akpss_module
 from hyperind.algorithms import akpss_run, akpss_step, deg_i_to_j, mu_i_to_j
+from hyperind.algorithms.akpss import MAX_RETRIES
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from hyperind.generators import gen_layered_bouquet
 from hyperind.rng import stream
 from hyperind.schedule import build_schedule
 from hyperind.structure import check_bouquet
+
+from oracles import replay_almost_regular_complete
 
 
 def two_layer_sched(n=1000):
@@ -174,9 +178,21 @@ def test_run_rejects_cycle_heavy_input():
 
 def test_run_rejects_nonpositive_retries():
     H = LayeredHypergraph(100, 2)
-    for retries in (0, -1):
+    for retries in (0, -1, MAX_RETRIES + 1):
         with pytest.raises(InvalidArguments, match="retries_per_round"):
             akpss_run(H, two_layer_sched(100), seed=1, retries_per_round=retries)
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (300, 2), (800, 3), (800, 4)])
+def test_run_matches_radius_three_completion(monkeypatch, n, seed):
+    H = LayeredHypergraph(n, 2)
+    sched = two_layer_sched(n)
+    got = akpss_run(H, sched, seed=seed, retries_per_round=2)
+    monkeypatch.setattr(akpss_module, "almost_regular_complete", replay_almost_regular_complete)
+    expect = akpss_run(H, sched, seed=seed, retries_per_round=2)
+    assert got.independent_set == expect.independent_set
+    assert got.rounds == expect.rounds
+    assert got.warnings == expect.warnings
 
 
 def test_run_warns_on_degrees_above_round_zero_caps():

@@ -3,14 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperind.algorithms import almost_regular_complete, greedy_set, spencer_set
+from hyperind.algorithms.basic import MAX_SAMPLES
 from hyperind.core import LayeredHypergraph
-from hyperind.errors import InvalidArguments, PreconditionFailed
+from hyperind.errors import HyperindError, InvalidArguments, PreconditionFailed
 from hyperind.generators import gen_disjoint_cliques, gen_gnp, gen_layered_bouquet
 from hyperind.rng import stream
 
-from oracles import brute_alpha
+from oracles import brute_alpha, replay_almost_regular_complete
 
 
 def assert_independent(H, vertices):
@@ -77,6 +79,9 @@ def test_spencer_requires_enough_samples():
     H = LayeredHypergraph(5, 3)
     with pytest.raises(InvalidArguments):
         spencer_set(H, stream(1, "s"), samples=19)
+    spencer_set(H, stream(1, "s"), samples=MAX_SAMPLES)
+    with pytest.raises(InvalidArguments, match="samples"):
+        spencer_set(H, stream(1, "s"), samples=MAX_SAMPLES + 1)
 
 
 def test_spencer_trivial_inputs():
@@ -218,3 +223,32 @@ def test_complete_new_pairs_stay_light():
     H2, B, info = almost_regular_complete(H, caps, pair_caps={3: pmax})
     assert H2.max_min_degree(3, 2)[0] <= pmax
     assert check_ok(H2)
+
+
+def _completion_outcome(fn, H, caps, pair_caps, check_input):
+    try:
+        H2, B, info = fn(H, caps, pair_caps, check_input)
+    except HyperindError as exc:
+        return type(exc), str(exc)
+    return H2.layers, B, info
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_complete_matches_radius_three_replay(data):
+    k = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(k, 50))
+    counts = {i: data.draw(st.integers(0, 12)) for i in range(2, k + 1)}
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    H, _ = gen_layered_bouquet(n, k, counts, stream(seed, "arc-eq"), max_stall=40)
+    caps = {i: H.max_min_degree(i, 1)[0] + data.draw(st.integers(0, 4)) for i in range(2, k + 1)}
+    pair_caps = None
+    if data.draw(st.booleans()):
+        pair_caps = {}
+        for i in range(3, k + 1):
+            if data.draw(st.booleans()):
+                pair_caps[i] = data.draw(st.sampled_from([0, H.max_min_degree(i, i - 1)[0] + 1]))
+    check_input = data.draw(st.booleans())
+    got = _completion_outcome(almost_regular_complete, H, caps, pair_caps, check_input)
+    expect = _completion_outcome(replay_almost_regular_complete, H, caps, pair_caps, check_input)
+    assert got == expect

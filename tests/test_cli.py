@@ -7,6 +7,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperind.algorithms.akpss import MAX_RETRIES
+from hyperind.algorithms.basic import MAX_SAMPLES
 from hyperind.cli import main
 from hyperind.core import LayeredHypergraph, read_file, write_file
 
@@ -354,6 +356,27 @@ SOLVE_BASE = {
 }
 SOLVE_FLAGS = ("--seed", "--order", "--samples", "--retries", "--T", "--d", "--t",
                "--epsilon", "--case", "--strict", "--trust", "--algorithm", "--out")
+
+
+@pytest.mark.parametrize("value", [0, -3, "cap+1"])
+@pytest.mark.parametrize("algorithm", ["pkm2", "appA", "appB", "akpss", "spencer"])
+def test_solve_loop_counts_out_of_range_exit_2(fuzz_inputs, capsys, algorithm, value):
+    _, paths = fuzz_inputs
+    instance, *flags = SOLVE_BASE[algorithm]
+    flag, cap = ("--samples", MAX_SAMPLES) if algorithm == "spencer" else ("--retries", MAX_RETRIES)
+    if value == "cap+1":
+        value = cap + 1
+    code, _, err = run(capsys, "solve", paths[instance], "--algorithm", algorithm, *flags, flag, value)
+    assert code == 2
+    assert str(value) in err
+
+
+def test_gen_girth5_bad_t_exits_2_at_small_n(tmp_path, capsys):
+    out = tmp_path / "g.hg"
+    code, _, err = run(capsys, "gen", "--kind", "girth5", "--n", 2, "--k", 3, "--t", -1, "--out", out)
+    assert code == 2
+    assert "finite and positive" in err
+    assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None)

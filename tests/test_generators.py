@@ -136,6 +136,19 @@ def test_girth5_validation_and_degenerate():
     H, info = gen_girth5(2, 3, 2.0, stream(1, "x"))
     assert H.n == 2 and H.num_edges() == 0
     assert info["initial_edges"] == 0
+    # n < k reports every key a pruned draw reports
+    _, full = gen_girth5(30, 3, 2.0, stream(1, "x"))
+    assert list(info) == list(full)
+    assert info["p"] == 0.0 and info["final_n"] == 2 and info["final_edges"] == 0
+    for stage in ("two_cycle_stage", "linear_three_stage", "clean_four_stage"):
+        assert info[stage] == {"passes": 1, "witnesses": dict.fromkeys(full[stage]["witnesses"], 0)}
+
+
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_girth5_rejects_bad_t_at_every_n(n, t):
+    with pytest.raises(InvalidArguments, match="finite and positive"):
+        gen_girth5(n, 3, t, stream(1, "x"))
 
 
 def test_girth5_deterministic_per_seed():

@@ -15,6 +15,7 @@ from hyperind.algorithms import (
     pipeline_graded_caps,
     pipeline_kminus2,
 )
+from hyperind.algorithms.akpss import MAX_RETRIES
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments, PreconditionFailed
 from hyperind.generators import gen_girth5, gen_gnp
@@ -49,6 +50,14 @@ def test_uniformity_is_enforced():
     ):
         with pytest.raises(InvalidArguments):
             fn(*args)
+
+
+@pytest.mark.parametrize("field", ["retries", "akpss_retries"])
+def test_config_bounds_retries(field):
+    PipelineConfig(**{field: MAX_RETRIES})
+    for value in (0, -3, MAX_RETRIES + 1):
+        with pytest.raises(InvalidArguments, match=field):
+            PipelineConfig(**{field: value})
 
 
 def test_low_uniformity_is_rejected():
