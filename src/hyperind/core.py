@@ -410,22 +410,18 @@ def contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredHypergra
             bag.sources.append((layer, e))
         else:
             bag.dropped_small += 1
-    distinct = set(bag.edges)
-    # drop proper supersets of surviving contractions, smallest first
-    by_size = sorted(distinct, key=len)
-    kept: set[Edge] = set()
-    for ce in by_size:
-        ce_set = set(ce)
-        nested = False
-        for other in kept:
-            if len(other) < len(ce) and set(other) <= ce_set:
-                nested = True
-                break
-        if not nested:
-            kept.add(ce)
+    # a contraction can only contain a kept one of strictly smaller size
+    by_size: dict[int, list[Edge]] = {}
+    for ce in set(bag.edges):
+        by_size.setdefault(len(ce), []).append(ce)
+    kept: dict[int, list[Edge]] = {}
+    for size in sorted(by_size):
+        smaller = [set(other) for group in kept.values() for other in group]
+        kept[size] = [ce for ce in by_size[size] if not any(map(set(ce).issuperset, smaller))]
     cleaned = LayeredHypergraph(H.n, H.k)
-    for ce in sorted(kept, key=lambda e: (len(e), e)):
-        cleaned.add_edge(ce)
+    for size in sorted(kept):
+        for ce in sorted(kept[size]):
+            cleaned.add_edge(ce)
     return bag, cleaned
 
 

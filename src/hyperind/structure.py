@@ -144,14 +144,30 @@ def _inter_size(a: Edge, b: Edge) -> int:
 # -- 2-cycles -----------------------------------------------------------------
 
 
+def _overlap_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
+    """Yield (edge, edge, shared vertices) for every pair of edges sharing at
+    least two vertices, once each, from the pair buckets of a hypergraph.
+
+    A pair sharing j vertices sits in C(j, 2) buckets; it is emitted only
+    from its lexicographically least shared pair, in sorted bucket order.
+    """
+    for pair in sorted(buckets):
+        entries = buckets[pair]
+        if len(entries) < 2:
+            continue
+        entries = sorted(entries)
+        for ka, kb in itertools.combinations(entries, 2):
+            shared = tuple(sorted(set(ka[1]) & set(kb[1])))
+            if shared[:2] == pair:
+                yield ka, kb, shared
+
+
 def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
     """Yield (2,l)-cycles in deterministic order.
 
     With ell fixed, a pair sharing exactly ell vertices sits in exactly one
     shared ell-subset bucket, so the pass below emits each cycle once.  With
-    ell None, every exact size >= 2 is reported (deduplicated via the pair
-    bucket pass: a pair sharing j vertices is emitted only from its
-    lexicographically least shared pair).
+    ell None, every exact size >= 2 is reported, from ``_overlap_iter``.
     """
     if ell is not None:
         if ell < 2:
@@ -173,22 +189,8 @@ def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
                         meeting=sub,
                     )
         return
-    buckets = _pair_buckets(H)
-    for pair in sorted(buckets):
-        entries = buckets[pair]
-        if len(entries) < 2:
-            continue
-        entries = sorted(entries)
-        for (la, ea), (lb, eb) in itertools.combinations(entries, 2):
-            shared = tuple(sorted(set(ea) & set(eb)))
-            if shared[:2] != pair:
-                continue  # this pair of edges is emitted from its least shared pair
-            yield CycleWitness(
-                kind="two_cycle",
-                ell=len(shared),
-                edges=[(la, ea), (lb, eb)],
-                meeting=shared,
-            )
+    for ka, kb, shared in _overlap_iter(_pair_buckets(H)):
+        yield CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
 
 
 def list_two_cycles(H: LayeredHypergraph, ell: int | None = None, limit: int | None = None) -> list[CycleWitness]:
@@ -271,23 +273,6 @@ def find_linear_three_cycles(H: LayeredHypergraph, limit: int | None = None) -> 
 # -- clean 4-cycles -----------------------------------------------------------
 
 
-def _edge_adjacency(H: LayeredHypergraph) -> tuple[list[EdgeKey], dict[EdgeKey, list[EdgeKey]]]:
-    keys = sorted(_all_edge_keys(H))
-    by_vertex: dict[int, list[EdgeKey]] = {}
-    for key in keys:
-        for v in key[1]:
-            by_vertex.setdefault(v, []).append(key)
-    adj: dict[EdgeKey, list[EdgeKey]] = {}
-    for key in keys:
-        seen: set[EdgeKey] = set()
-        for v in key[1]:
-            for other in by_vertex[v]:
-                if other != key:
-                    seen.add(other)
-        adj[key] = sorted(seen)
-    return keys, adj
-
-
 def _orient_clean_cycle(quad: tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey]) -> CycleWitness:
     """Build the canonical witness for a clean 4-cycle given (e1,e2,e3,e4)
     where {e1,e3} and {e2,e4} are the disjoint opposite pairs."""
@@ -308,21 +293,34 @@ def _orient_clean_cycle(quad: tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey]) -> Cycl
 def _clean_four_iter(H: LayeredHypergraph):
     """Yield clean 4-cycles once each.
 
-    For every middle edge, paths e1 - mid - e3 with e1 & e3 = {} are bucketed
-    by the endpoint pair; two middles for one endpoint pair that are
-    themselves disjoint close a clean cycle.  Each cycle shows up under both
-    of its opposite pairs, so results are deduplicated by edge set.
+    Middle edges are taken in sorted order.  For each, the edges meeting it
+    are gathered from a vertex index built once and sorted when the scan
+    reaches it, so a caller that stops at the first witness pays only for
+    the middles before it.  Paths e1 - mid - e3 with e1 & e3 = {} are
+    bucketed by the endpoint pair; two middles for one endpoint pair that
+    are themselves disjoint close a clean cycle.  Each cycle shows up under
+    both of its opposite pairs, so results are deduplicated by edge set.
     """
-    _, adj = _edge_adjacency(H)
-    buckets: dict[tuple[EdgeKey, EdgeKey], list[EdgeKey]] = {}
-    emitted: set[frozenset[EdgeKey]] = set()
-    for mid in sorted(adj):
-        neighbors = adj[mid]
-        smid = set(mid[1])
+    keys = sorted(_all_edge_keys(H))
+    # edges go by their rank in ``keys``, which sorts them as the keys sort
+    # and hashes and compares faster
+    vsets = [set(e) for _, e in keys]
+    by_vertex: dict[int, list[int]] = {}
+    for rank, (_, e) in enumerate(keys):
+        for v in e:
+            by_vertex.setdefault(v, []).append(rank)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    emitted: set[frozenset[int]] = set()
+    for mid, smid in enumerate(vsets):
+        seen: set[int] = set()
+        for v in smid:
+            seen.update(by_vertex[v])
+        seen.discard(mid)
+        neighbors = sorted(seen)
         for i, e1 in enumerate(neighbors):
-            s1 = set(e1[1])
+            s1 = vsets[e1]
             for e3 in neighbors[i + 1 :]:
-                if not s1.isdisjoint(e3[1]):
+                if not s1.isdisjoint(vsets[e3]):
                     continue
                 pair = (e1, e3)
                 prior = buckets.get(pair)
@@ -330,13 +328,13 @@ def _clean_four_iter(H: LayeredHypergraph):
                     buckets[pair] = [mid]
                     continue
                 for other_mid in prior:
-                    if not smid.isdisjoint(other_mid[1]):
+                    if not smid.isdisjoint(vsets[other_mid]):
                         continue
                     key = frozenset((e1, e3, mid, other_mid))
                     if len(key) < 4 or key in emitted:
                         continue
                     emitted.add(key)
-                    yield _orient_clean_cycle((e1, other_mid, e3, mid))
+                    yield _orient_clean_cycle((keys[e1], keys[other_mid], keys[e3], keys[mid]))
                 prior.append(mid)
 
 
@@ -355,22 +353,19 @@ def find_clean_four_cycles(H: LayeredHypergraph, limit: int | None = None) -> li
 # -- bouquet ------------------------------------------------------------------
 
 
-def _property_v_iter(H: LayeredHypergraph):
+def _property_v_iter(H: LayeredHypergraph, buckets: dict[tuple[int, int], list[EdgeKey]]):
     """Layer-3 triples with overlap pattern (2, 2, 1); the middle edge is the
-    unique one meeting both others in two vertices."""
+    unique one meeting both others in two vertices.  ``buckets`` are the
+    pair buckets of H, of which only the layer-3 entries are read."""
     edges3 = sorted(set(H.layers.get(3, [])))
     if len(edges3) < 3:
         return
-    buckets: dict[tuple[int, int], list[Edge]] = {}
-    for e in edges3:
-        for pair in itertools.combinations(e, 2):
-            buckets.setdefault(pair, []).append(e)
     for mid in edges3:
         partners: list[Edge] = []
         seen: set[Edge] = set()
         for pair in itertools.combinations(mid, 2):
-            for other in buckets.get(pair, ()):
-                if other != mid and other not in seen and _inter_size(other, mid) == 2:
+            for layer, other in buckets[pair]:
+                if layer == 3 and other != mid and other not in seen and _inter_size(other, mid) == 2:
                     seen.add(other)
                     partners.append(other)
         partners.sort()
@@ -386,34 +381,25 @@ def _property_v_iter(H: LayeredHypergraph):
 def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
     """Evaluate the five bouquet conditions; first witness per violation.
 
-    Properties iii) and iv) trigger full cycle scans, so on large inputs this
-    costs what the cycle detectors cost.
+    Every scan stops at its property's first witness, so an input that
+    violates early is cheap.  A clean input pays for the full scans: the
+    linear 3-cycle and clean 4-cycle scans cost what the cycle detectors
+    cost.
     """
     violations: list[tuple[str, object]] = []
 
     buckets = _pair_buckets(H)
+    # with one nonempty layer, no pair of edges can violate i)
+    single_layer = sum(1 for i in range(2, H.k + 1) if H.layers[i]) < 2
     witness_i = None
     witness_ii = None
-    for pair in sorted(buckets):
-        entries = buckets[pair]
-        if len(entries) < 2:
-            continue
-        entries = sorted(entries)
-        for (la, ea), (lb, eb) in itertools.combinations(entries, 2):
-            shared = tuple(sorted(set(ea) & set(eb)))
-            if shared[:2] != pair:
-                continue  # count each pair of edges once, from its least shared pair
-            if la != lb:
-                if witness_i is None:
-                    witness_i = CycleWitness(
-                        kind="cross_layer_overlap", edges=[(la, ea), (lb, eb)], meeting=shared, ell=len(shared)
-                    )
-            else:
-                if len(shared) != la - 1 and witness_ii is None:
-                    witness_ii = CycleWitness(
-                        kind="within_layer_overlap", edges=[(la, ea), (lb, eb)], meeting=shared, ell=len(shared)
-                    )
-        if witness_i is not None and witness_ii is not None:
+    for ka, kb, shared in _overlap_iter(buckets):
+        if ka[0] != kb[0]:
+            if witness_i is None:
+                witness_i = CycleWitness(kind="cross_layer_overlap", edges=[ka, kb], meeting=shared, ell=len(shared))
+        elif len(shared) != ka[0] - 1 and witness_ii is None:
+            witness_ii = CycleWitness(kind="within_layer_overlap", edges=[ka, kb], meeting=shared, ell=len(shared))
+        if witness_ii is not None and (witness_i is not None or single_layer):
             break
     if witness_i is not None:
         violations.append(("i", witness_i))
@@ -429,7 +415,7 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
         violations.append(("iv", w))
         break
 
-    for w in _property_v_iter(H):
+    for w in _property_v_iter(H, buckets):
         violations.append(("v", w))
         break
 
@@ -658,7 +644,9 @@ def prune_short_cycles(
     deleted = {"two_cycle": 0, "linear_three": 0, "clean_four": 0}
     passes = 0
     order = sorted(set(keep))
-    base, _ = H.induce(order)
+    # inducing on every vertex re-adds each edge in the same order, so H serves
+    full = order == list(range(H.n)) and all(type(v) is int for v in order)
+    base = H if full else H.induce(order)[0]
     streams = [_two_cycle_iter(base, ell) for ell in two_ells]
     alive = [True] * base.n
     while True:

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import itertools
 
-from hyperind.core import LayeredHypergraph
+from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex, _vertex_set
+from hyperind.structure import (
+    BouquetReport,
+    CycleWitness,
+    _all_edge_keys,
+    _inter_size,
+    _linear_three_iter,
+    _orient_clean_cycle,
+    _pair_buckets,
+)
 
 EdgeKey = tuple[int, tuple[int, ...]]
 
@@ -607,3 +616,197 @@ def replay_almost_regular_complete(
         "stalled_layers": stalled,
     }
     return H2, B, info
+
+
+# -- the bouquet check and contraction before their rewrites -------------------
+#
+# Verbatim copies: check_bouquet with a whole-graph edge adjacency built
+# before the clean 4-cycle scan, its own property i/ii overlap loop and its
+# own layer-3 buckets for property v; contract with the all-pairs nesting
+# loop.  The rewrites must give equal reports, witnesses, emission order,
+# bags and cleaned layers.
+
+
+def _replay_edge_adjacency(H: LayeredHypergraph) -> tuple[list[EdgeKey], dict[EdgeKey, list[EdgeKey]]]:
+    keys = sorted(_all_edge_keys(H))
+    by_vertex: dict[int, list[EdgeKey]] = {}
+    for key in keys:
+        for v in key[1]:
+            by_vertex.setdefault(v, []).append(key)
+    adj: dict[EdgeKey, list[EdgeKey]] = {}
+    for key in keys:
+        seen: set[EdgeKey] = set()
+        for v in key[1]:
+            for other in by_vertex[v]:
+                if other != key:
+                    seen.add(other)
+        adj[key] = sorted(seen)
+    return keys, adj
+
+
+def replay_clean_four_iter(H: LayeredHypergraph):
+    """Yield clean 4-cycles once each.
+
+    For every middle edge, paths e1 - mid - e3 with e1 & e3 = {} are bucketed
+    by the endpoint pair; two middles for one endpoint pair that are
+    themselves disjoint close a clean cycle.  Each cycle shows up under both
+    of its opposite pairs, so results are deduplicated by edge set.
+    """
+    _, adj = _replay_edge_adjacency(H)
+    buckets: dict[tuple[EdgeKey, EdgeKey], list[EdgeKey]] = {}
+    emitted: set[frozenset[EdgeKey]] = set()
+    for mid in sorted(adj):
+        neighbors = adj[mid]
+        smid = set(mid[1])
+        for i, e1 in enumerate(neighbors):
+            s1 = set(e1[1])
+            for e3 in neighbors[i + 1 :]:
+                if not s1.isdisjoint(e3[1]):
+                    continue
+                pair = (e1, e3)
+                prior = buckets.get(pair)
+                if prior is None:
+                    buckets[pair] = [mid]
+                    continue
+                for other_mid in prior:
+                    if not smid.isdisjoint(other_mid[1]):
+                        continue
+                    key = frozenset((e1, e3, mid, other_mid))
+                    if len(key) < 4 or key in emitted:
+                        continue
+                    emitted.add(key)
+                    yield _orient_clean_cycle((e1, other_mid, e3, mid))
+                prior.append(mid)
+
+
+def replay_find_clean_four_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
+    """``find_clean_four_cycles`` over ``replay_clean_four_iter``."""
+    out = []
+    for w in replay_clean_four_iter(H):
+        out.append(w)
+        if limit is not None and len(out) >= limit:
+            break
+    if limit is None:
+        out.sort(key=CycleWitness.sort_key)
+    return out
+
+
+def _replay_property_v_iter(H: LayeredHypergraph):
+    """Layer-3 triples with overlap pattern (2, 2, 1); the middle edge is the
+    unique one meeting both others in two vertices."""
+    edges3 = sorted(set(H.layers.get(3, [])))
+    if len(edges3) < 3:
+        return
+    buckets: dict[tuple[int, int], list[Edge]] = {}
+    for e in edges3:
+        for pair in itertools.combinations(e, 2):
+            buckets.setdefault(pair, []).append(e)
+    for mid in edges3:
+        partners: list[Edge] = []
+        seen: set[Edge] = set()
+        for pair in itertools.combinations(mid, 2):
+            for other in buckets.get(pair, ()):
+                if other != mid and other not in seen and _inter_size(other, mid) == 2:
+                    seen.add(other)
+                    partners.append(other)
+        partners.sort()
+        for e1, e3 in itertools.combinations(partners, 2):
+            if _inter_size(e1, e3) == 1:
+                yield CycleWitness(
+                    kind="property_v",
+                    edges=sorted([(3, e1), (3, mid), (3, e3)]),
+                    meeting=tuple(sorted(set(e1) & set(e3))),
+                )
+
+
+def replay_check_bouquet(H: LayeredHypergraph) -> BouquetReport:
+    """Evaluate the five bouquet conditions; first witness per violation.
+
+    Properties iii) and iv) trigger full cycle scans, so on large inputs this
+    costs what the cycle detectors cost.
+    """
+    violations: list[tuple[str, object]] = []
+
+    buckets = _pair_buckets(H)
+    witness_i = None
+    witness_ii = None
+    for pair in sorted(buckets):
+        entries = buckets[pair]
+        if len(entries) < 2:
+            continue
+        entries = sorted(entries)
+        for (la, ea), (lb, eb) in itertools.combinations(entries, 2):
+            shared = tuple(sorted(set(ea) & set(eb)))
+            if shared[:2] != pair:
+                continue  # count each pair of edges once, from its least shared pair
+            if la != lb:
+                if witness_i is None:
+                    witness_i = CycleWitness(
+                        kind="cross_layer_overlap", edges=[(la, ea), (lb, eb)], meeting=shared, ell=len(shared)
+                    )
+            else:
+                if len(shared) != la - 1 and witness_ii is None:
+                    witness_ii = CycleWitness(
+                        kind="within_layer_overlap", edges=[(la, ea), (lb, eb)], meeting=shared, ell=len(shared)
+                    )
+        if witness_i is not None and witness_ii is not None:
+            break
+    if witness_i is not None:
+        violations.append(("i", witness_i))
+    if witness_ii is not None:
+        violations.append(("ii", witness_ii))
+
+    for w in _linear_three_iter(buckets):
+        if w.h2_count <= 1:
+            violations.append(("iii", w))
+            break
+
+    for w in replay_clean_four_iter(H):
+        violations.append(("iv", w))
+        break
+
+    for w in _replay_property_v_iter(H):
+        violations.append(("v", w))
+        break
+
+    return BouquetReport(holds=not violations, violations=violations)
+
+
+def replay_contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredHypergraph]:
+    """Contract every edge of H onto a vertex subset and clean the result.
+
+    The bag holds all contractions e & vstar with at least 2 vertices.  The
+    cleaned hypergraph (same vertex ids as H) keeps one copy of each distinct
+    contraction and then discards any contraction that properly contains
+    another surviving one, so no edge of the result nests inside a smaller
+    edge.  Contractions of size <= 1 are dropped and counted.
+    """
+    vset = _vertex_set(vstar)
+    for v in vset:
+        if type(v) is not int or not (0 <= v < H.n):
+            _as_vertex(v, H.n)
+    bag = MultiEdgeBag()
+    for layer, e in H.edges():
+        ce = tuple(v for v in e if v in vset)
+        if len(ce) >= 2:
+            bag.edges.append(ce)
+            bag.sources.append((layer, e))
+        else:
+            bag.dropped_small += 1
+    distinct = set(bag.edges)
+    # drop proper supersets of surviving contractions, smallest first
+    by_size = sorted(distinct, key=len)
+    kept: set[Edge] = set()
+    for ce in by_size:
+        ce_set = set(ce)
+        nested = False
+        for other in kept:
+            if len(other) < len(ce) and set(other) <= ce_set:
+                nested = True
+                break
+        if not nested:
+            kept.add(ce)
+    cleaned = LayeredHypergraph(H.n, H.k)
+    for ce in sorted(kept, key=lambda e: (len(e), e)):
+        cleaned.add_edge(ce)
+    return bag, cleaned

@@ -21,7 +21,7 @@ from hyperind.errors import (
 )
 from hyperind.rng import stream
 
-from oracles import brute_deg, brute_max_min_degree, random_layered
+from oracles import brute_deg, brute_max_min_degree, random_layered, replay_contract
 
 
 def small_graph():
@@ -213,6 +213,23 @@ def test_contract_multiplicity_and_nesting():
     assert not cleaned.has_edge((0, 1, 2))
     assert cleaned.num_edges() == 1
     assert cleaned.n == H.n
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_contract_matches_all_pairs_replay(seed, k):
+    # dense enough that contractions of several sizes nest inside each other
+    rng = stream(seed, "core-contract", k)
+    n = int(rng.integers(k, 16))
+    H = random_layered(rng, n=n, k=k, edges=int(rng.integers(0, 4 * n)))
+    vstar = {v for v in range(n) if rng.random() < rng.uniform(0.3, 1.0)}
+    bag, cleaned = contract(H, vstar)
+    old_bag, old_cleaned = replay_contract(H, vstar)
+    assert (bag.edges, bag.sources, bag.dropped_small) == (
+        old_bag.edges, old_bag.sources, old_bag.dropped_small
+    )
+    assert cleaned.layers == old_cleaned.layers
+    assert cleaned.incidence == old_cleaned.incidence
 
 
 def test_contract_rejects_bad_vertices():

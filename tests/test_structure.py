@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperind.core import LayeredHypergraph
-from hyperind.errors import InvalidArguments
+from hyperind.errors import InvalidArguments, InvalidVertex
+from hyperind.generators import gen_gnp
 from hyperind.rng import stream
 from hyperind.structure import (
     check_bouquet,
@@ -29,6 +31,8 @@ from oracles import (
     brute_linear_three,
     brute_two_cycles,
     brute_vprime,
+    replay_check_bouquet,
+    replay_find_clean_four_cycles,
     replay_layered_bouquet,
     replay_prune_short_cycles,
     random_layered,
@@ -197,6 +201,46 @@ def test_vprime_matches_oracle(seed):
     H = random_layered(rng, n=10, k=4, edges=12)
     got = {frozenset(w.edges) for w in check_property_vprime(H)}
     assert got == set(brute_vprime(H))
+
+
+def _assert_bouquet_replayed(H: LayeredHypergraph, limits=(1, 2, 5, None)) -> None:
+    """check_bouquet and find_clean_four_cycles give what they gave before
+    the lazy clean 4-cycle scan and the shared overlap pass: equal reports,
+    witnesses and emission order."""
+    assert check_bouquet(H).to_dict() == replay_check_bouquet(H).to_dict()
+    for limit in limits:
+        got = [w.to_dict() for w in find_clean_four_cycles(H, limit=limit)]
+        assert got == [w.to_dict() for w in replay_find_clean_four_cycles(H, limit=limit)]
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.integers(1, 15))
+@settings(max_examples=100, deadline=None)
+def test_bouquet_matches_replay(seed, k, layers):
+    # bit i-2 of ``layers`` keeps layer i, so one or two nonempty layers
+    # occur often: the overlap pass may stop early only with one
+    rng = stream(seed, "struct-bouquet-replay", k)
+    n = int(rng.integers(k + 1, 16))
+    H = LayeredHypergraph(n, k)
+    for _, e in random_layered(rng, n=n, k=k, edges=int(rng.integers(0, 4 * n))).edges():
+        if layers >> (len(e) - 2) & 1:
+            H.add_edge(e)
+    _assert_bouquet_replayed(H)
+
+
+def test_bouquet_matches_replay_on_gate_instances():
+    # the instances of the acceptance battery's oracle gate
+    for i in range(300):
+        n = 6 + i % 9
+        k = 3 + i % 3
+        edges = 40 if (i % 30 == 0 and n >= 10) else 10 + i % 13
+        _assert_bouquet_replayed(random_layered(stream(40, "c2", i), n=n, k=k, edges=edges))
+
+
+def test_bouquet_matches_replay_on_rough_file():
+    # a rough 4-uniform input, which violates ii, iii and iv early
+    H = gen_gnp(800, 4, 5000 / math.comb(800, 4), stream(1, "struct-rough"))
+    assert check_bouquet(H).violated_properties() == ["ii", "iii", "iv"]
+    _assert_bouquet_replayed(H, limits=(1, 2, 5))
 
 
 def _local_vs_whole(seed: int, k: int) -> set[str]:
@@ -371,6 +415,23 @@ def test_prune_noop_on_clean_input():
     assert keep == set(range(6))
     assert info["passes"] == 1
     assert sum(info["witnesses"].values()) == 0
+
+
+def test_prune_uses_the_graph_itself_when_keeping_every_vertex(monkeypatch):
+    calls = []
+    induce = LayeredHypergraph.induce
+    monkeypatch.setattr(LayeredHypergraph, "induce", lambda self, vs: calls.append(self) or induce(self, vs))
+    H = LayeredHypergraph(6, 3)
+    H.add_edge((0, 1, 2))
+    H.add_edge((3, 4, 5))
+    kinds = dict(two_ells=(2,), linear3=True, clean4=True)
+    assert prune_short_cycles(H, set(range(6)), **kinds)[0] == set(range(6))
+    assert calls == []
+    assert prune_short_cycles(H, {0, 1, 2, 3}, **kinds)[0] == {0, 1, 2, 3}
+    assert calls == [H]
+    # ids that are not plain ints still go through induce's checks
+    with pytest.raises(InvalidVertex):
+        prune_short_cycles(H, {0.0, 1, 2, 3, 4, 5}, **kinds)
 
 
 @given(
