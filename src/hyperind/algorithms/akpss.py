@@ -97,7 +97,6 @@ def akpss_step(
     m: int,
     rng: np.random.Generator,
     force_sample: set[int] | None = None,
-    check_input: bool = False,
     collect_contraction_data: bool = False,
 ) -> tuple[LayeredHypergraph, dict[int, int], StepState]:
     """Run round m+1 on H (the round-m graph). Returns the next graph, the
@@ -130,7 +129,7 @@ def akpss_step(
         pair_caps[i] = cap
 
     H2, irregular, comp_info = almost_regular_complete(
-        H, vertex_caps, pair_caps, check_input=check_input
+        H, vertex_caps, pair_caps, check_input=False
     )
 
     p = sched.p_at(m + 1)
@@ -340,15 +339,10 @@ def akpss_run(
             attempts_used = attempt + 1
             rng = stream(seed, "round", m, "attempt", attempt)
             try:
-                result = akpss_step(current, sched, m, rng, check_input=False)
+                result = akpss_step(current, sched, m, rng)
             except RoundCollapsed as rc:
-                state = rc.state
-                if best is None or len(state.independent) > len(
-                    best[2].independent
-                ):
-                    empty = LayeredHypergraph(0, H.k)
-                    best = (empty, {}, state)
-                continue
+                # n_lo[m+1] > 0, so a collapsed attempt never hits the window
+                result = (LayeredHypergraph(0, H.k), {}, rc.state)
             h_next, relabel, state = result
             good_window = sched.n_lo[m + 1] <= h_next.n <= sched.n_hi[m + 1]
             good_harvest = len(state.independent) >= harvest_floor

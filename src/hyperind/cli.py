@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .core import read_file, write_file
-from .errors import HyperindError
+from .errors import HyperindError, InvalidArguments
 from .harness import ExperimentConfig, diff_reports, run_experiment
 from .rng import stream
 from .schedule import build_schedule
@@ -41,6 +41,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.limit < 1:
+        raise InvalidArguments(f"--limit must be at least 1, got {args.limit}")
     H = read_file(args.path)
     report = check_bouquet(H)
     two = list_two_cycles(H, limit=args.limit)
@@ -50,11 +52,7 @@ def _cmd_check(args) -> int:
         print(
             json.dumps(
                 {
-                    "holds": report.holds,
-                    "violations": [
-                        {"property": prop, "witness": w.to_dict()}
-                        for prop, w in report.violations
-                    ],
+                    **report.to_dict(),
                     "two_cycles_seen": [w.to_dict() for w in two],
                     "linear_three_seen": [w.to_dict() for w in three],
                     "clean_four_seen": [w.to_dict() for w in four],
@@ -64,7 +62,7 @@ def _cmd_check(args) -> int:
         )
     else:
         print(f"{args.path}: n={H.n} k={H.k} edges={H.num_edges()}")
-        cap = f" (first {args.limit})" if args.limit else ""
+        cap = f" (first {args.limit})"
         print(f"  two-cycles{cap}: {len(two)}")
         print(f"  linear three-cycles{cap}: {len(three)}")
         print(f"  clean four-cycles{cap}: {len(four)}")
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="audit an instance file")
     c.add_argument("path")
-    c.add_argument("--limit", type=int, default=10, help="witnesses to list per kind")
+    c.add_argument("--limit", type=int, default=10, help="witnesses to list per kind, at least 1")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_check)
 

@@ -68,12 +68,17 @@ def _as_vertex(v, n: int) -> int:
     return v
 
 
-def _vertex_set(vertices) -> set:
-    """set(vertices), with unhashable ids raised as InvalidVertex."""
+def _vertex_ids(vertices, n: int) -> set:
+    """set(vertices) once every id is a vertex of a graph on n vertices;
+    unhashable ids and ids ``_as_vertex`` rejects raise InvalidVertex."""
     try:
-        return set(vertices)
+        ids = set(vertices)
     except TypeError as exc:
         raise InvalidVertex(f"vertex ids must be integers: {exc}") from None
+    for v in ids:
+        if type(v) is not int or not (0 <= v < n):
+            _as_vertex(v, n)
+    return ids
 
 
 class LayeredHypergraph:
@@ -199,12 +204,9 @@ class LayeredHypergraph:
 
         deg of the empty set is the total edge count.
         """
-        s = _vertex_set(vertices)
+        s = _vertex_ids(vertices, self.n)
         if not s:
             return self.num_edges()
-        for v in s:
-            if type(v) is not int or not (0 <= v < self.n):
-                _as_vertex(v, self.n)
         s = tuple(sorted(s))
         # scan the smallest incidence list among the queried vertices
         pivot = min(s, key=lambda v: len(self.incidence[v]))
@@ -281,10 +283,7 @@ class LayeredHypergraph:
         """
         if radius < 0:
             raise InvalidArguments("radius must be nonnegative")
-        current = _vertex_set(vertices)
-        for v in current:
-            if type(v) is not int or not (0 <= v < self.n):
-                _as_vertex(v, self.n)
+        current = _vertex_ids(vertices, self.n)
         for _ in range(radius):
             nxt = set(current)
             for v in current:
@@ -324,10 +323,7 @@ class LayeredHypergraph:
         hypergraph and the old->new relabeling map (ascending ids map to
         ascending ids).
         """
-        uset = _vertex_set(vertices)
-        for v in uset:
-            if type(v) is not int or not (0 <= v < self.n):
-                _as_vertex(v, self.n)
+        uset = _vertex_ids(vertices, self.n)
         u = sorted(uset)
         old_to_new = {v: i for i, v in enumerate(u)}
         sub = LayeredHypergraph(len(u), self.k)
@@ -339,10 +335,7 @@ class LayeredHypergraph:
 
     def is_independent(self, vertices) -> tuple[bool, Edge | None]:
         """Whether no edge lies inside the set; returns a witness edge if one does."""
-        s = _vertex_set(vertices)
-        for v in s:
-            if type(v) is not int or not (0 <= v < self.n):
-                _as_vertex(v, self.n)
+        s = _vertex_ids(vertices, self.n)
         for i in range(2, self.k + 1):
             for e in self.layers[i]:
                 if all(v in s for v in e):
@@ -398,10 +391,7 @@ def contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredHypergra
     another surviving one, so no edge of the result nests inside a smaller
     edge.  Contractions of size <= 1 are dropped and counted.
     """
-    vset = _vertex_set(vstar)
-    for v in vset:
-        if type(v) is not int or not (0 <= v < H.n):
-            _as_vertex(v, H.n)
+    vset = _vertex_ids(vstar, H.n)
     bag = MultiEdgeBag()
     for layer, e in H.edges():
         ce = tuple(v for v in e if v in vset)

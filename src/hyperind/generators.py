@@ -19,6 +19,7 @@ from .errors import InvalidArguments
 from .structure import (
     check_bouquet,
     check_bouquet_around,
+    check_limit,
     find_clean_four_cycles,
     find_linear_three_cycles,
     list_two_cycles,
@@ -103,7 +104,7 @@ def gen_girth5(
     k: int,
     t: float,
     rng: np.random.Generator,
-    batch: int = 512,
+    batch: int | None = 512,
 ) -> tuple[LayeredHypergraph, dict]:
     """Random k-graph with every 2-, 3-, and 4-cycle removed.
 
@@ -117,6 +118,7 @@ def gen_girth5(
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
     if not (math.isfinite(t) and t > 0):
         raise InvalidArguments(f"t must be finite and positive, got {t}")
+    check_limit("batch", batch, 1)
     # with n < k there is no k-set to draw, and the stages find nothing
     p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1)) if n >= k else 0.0
     H = gen_gnp(n, k, p, rng)

@@ -20,6 +20,11 @@ The bouquet property bundles five conditions on a layered hypergraph:
 A strengthened form of v) for every uniformity (the v' pattern,
 |e1 & e2| = |e2 & e3| = l-1 with |e1 & e3| = l-2) follows from i), ii), v);
 ``check_property_vprime`` detects it directly.
+
+Every detector is a lazy stream of witnesses in a fixed order, built on one
+index (``_buckets``) and read in one way (``_take``).  A ``limit`` argument
+reads a prefix of that stream: ``None`` means every witness, ``0`` none, and
+a negative limit raises InvalidArguments.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import LayeredHypergraph
-from .errors import InvalidArguments, InvalidVertex
+from .errors import InvalidArguments
 
 __all__ = [
     "CycleWitness",
@@ -84,19 +89,14 @@ class BouquetReport:
     """Outcome of ``check_bouquet``: first witness per violated property."""
 
     holds: bool
-    violations: list[tuple[str, object]] = field(default_factory=list)
+    violations: list[tuple[str, CycleWitness]] = field(default_factory=list)
 
     def violated_properties(self) -> list[str]:
         return [prop for prop, _ in self.violations]
 
     def to_dict(self) -> dict:
-        out = []
-        for prop, witness in self.violations:
-            if isinstance(witness, CycleWitness):
-                out.append({"property": prop, "witness": witness.to_dict()})
-            else:
-                out.append({"property": prop, "witness": witness})
-        return {"holds": self.holds, "violations": out}
+        violations = [{"property": prop, "witness": w.to_dict()} for prop, w in self.violations]
+        return {"holds": self.holds, "violations": violations}
 
 
 @dataclass
@@ -110,30 +110,30 @@ class Classification:
     reason: str | None = None
 
 
-# -- shared indexes -----------------------------------------------------------
+# -- shared index and reader --------------------------------------------------
 
 
-def _all_edge_keys(H: LayeredHypergraph) -> list[EdgeKey]:
-    return [(layer, e) for layer, e in H.edges()]
-
-
-def _pair_buckets(H: LayeredHypergraph) -> dict[tuple[int, int], list[EdgeKey]]:
-    """vertex pair -> edges containing it, across every layer."""
-    buckets: dict[tuple[int, int], list[EdgeKey]] = {}
-    for layer, e in H.edges():
-        for pair in itertools.combinations(e, 2):
-            buckets.setdefault(pair, []).append((layer, e))
-    return buckets
-
-
-def _subset_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]:
+def _buckets(H: LayeredHypergraph, ell: int = 2) -> dict[Edge, list[EdgeKey]]:
+    """vertex ell-subset -> the (layer, edge) keys of H containing it, across
+    every layer, in ``H.edges()`` order; the keys are the tuples
+    ``H.edges()`` yields, shared by every bucket of an edge."""
     buckets: dict[Edge, list[EdgeKey]] = {}
-    for layer, e in H.edges():
-        if len(e) < ell:
-            continue
-        for sub in itertools.combinations(e, ell):
-            buckets.setdefault(sub, []).append((layer, e))
+    for key in H.edges():
+        for sub in itertools.combinations(key[1], ell):
+            buckets.setdefault(sub, []).append(key)
     return buckets
+
+
+def check_limit(name: str, value: int | None, least: int) -> None:
+    """InvalidArguments unless ``value`` is None (no cap) or at least ``least``."""
+    if value is not None and value < least:
+        raise InvalidArguments(f"{name} must be None or at least {least}, got {value}")
+
+
+def _take(stream, limit: int | None) -> list:
+    """The first ``limit`` items of a witness stream; ``None`` takes all."""
+    check_limit("limit", limit, 0)
+    return list(itertools.islice(stream, limit))
 
 
 def _inter_size(a: Edge, b: Edge) -> int:
@@ -144,53 +144,35 @@ def _inter_size(a: Edge, b: Edge) -> int:
 # -- 2-cycles -----------------------------------------------------------------
 
 
-def _overlap_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
-    """Yield (edge, edge, shared vertices) for every pair of edges sharing at
-    least two vertices, once each, from the pair buckets of a hypergraph.
+def _overlap_iter(buckets: dict[Edge, list[EdgeKey]], ell: int | None = None):
+    """Yield (edge, edge, shared vertices) for pairs of edges sharing at
+    least two vertices, once each, in sorted bucket order.
 
-    A pair sharing j vertices sits in C(j, 2) buckets; it is emitted only
-    from its lexicographically least shared pair, in sorted bucket order.
+    With ell None the buckets are pair buckets, and a pair sharing j
+    vertices, which sits in C(j, 2) of them, is emitted from its
+    lexicographically least shared pair.  With ell fixed they are ell-subset
+    buckets, and only pairs sharing exactly ell vertices are emitted, from
+    the one bucket of their shared set.
     """
-    for pair in sorted(buckets):
-        entries = buckets[pair]
+    for sub in sorted(buckets):
+        entries = buckets[sub]
         if len(entries) < 2:
             continue
-        entries = sorted(entries)
-        for ka, kb in itertools.combinations(entries, 2):
+        for ka, kb in itertools.combinations(sorted(entries), 2):
             shared = tuple(sorted(set(ka[1]) & set(kb[1])))
-            if shared[:2] == pair:
+            if (shared[:2] == sub) if ell is None else (len(shared) == ell):
                 yield ka, kb, shared
 
 
 def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
-    """Yield (2,l)-cycles in deterministic order.
-
-    With ell fixed, a pair sharing exactly ell vertices sits in exactly one
-    shared ell-subset bucket, so the pass below emits each cycle once.  With
-    ell None, every exact size >= 2 is reported, from ``_overlap_iter``.
-    """
-    if ell is not None:
-        if ell < 2:
-            raise InvalidArguments(f"two-cycle overlap must be >= 2, got {ell}")
-        buckets = _subset_buckets(H, ell)
-        for sub in sorted(buckets):
-            entries = buckets[sub]
-            if len(entries) < 2:
-                continue
-            entries = sorted(entries)
-            for (la, ea), (lb, eb) in itertools.combinations(entries, 2):
-                if (la, ea) == (lb, eb):
-                    continue
-                if _inter_size(ea, eb) == ell:
-                    yield CycleWitness(
-                        kind="two_cycle",
-                        ell=ell,
-                        edges=[(la, ea), (lb, eb)],
-                        meeting=sub,
-                    )
-        return
-    for ka, kb, shared in _overlap_iter(_pair_buckets(H)):
-        yield CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
+    """(2,l)-cycles in deterministic order; ell None reports every exact
+    size >= 2.  A bad ell raises here, not at the first witness."""
+    if ell is not None and ell < 2:
+        raise InvalidArguments(f"two-cycle overlap must be >= 2, got {ell}")
+    return (
+        CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
+        for ka, kb, shared in _overlap_iter(_buckets(H, ell or 2), ell)
+    )
 
 
 def list_two_cycles(H: LayeredHypergraph, ell: int | None = None, limit: int | None = None) -> list[CycleWitness]:
@@ -198,12 +180,7 @@ def list_two_cycles(H: LayeredHypergraph, ell: int | None = None, limit: int | N
 
     ``limit`` truncates the enumeration deterministically.
     """
-    out = []
-    for w in _two_cycle_iter(H, ell):
-        out.append(w)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return _take(_two_cycle_iter(H, ell), limit)
 
 
 def count_two_cycles(H: LayeredHypergraph, ell: int) -> int:
@@ -214,7 +191,7 @@ def count_two_cycles(H: LayeredHypergraph, ell: int) -> int:
 # -- linear 3-cycles ----------------------------------------------------------
 
 
-def _linear_three_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
+def _linear_three_iter(buckets: dict[Edge, list[EdgeKey]]):
     """Yield linear 3-cycles once each, in deterministic order, from the
     pair buckets of a hypergraph.
 
@@ -262,12 +239,7 @@ def _linear_three_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
 
 def find_linear_three_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
     """Linear 3-cycles with their layer-2 edge counts in ``h2_count``."""
-    out = []
-    for w in _linear_three_iter(_pair_buckets(H)):
-        out.append(w)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return _take(_linear_three_iter(_buckets(H)), limit)
 
 
 # -- clean 4-cycles -----------------------------------------------------------
@@ -301,7 +273,7 @@ def _clean_four_iter(H: LayeredHypergraph):
     are themselves disjoint close a clean cycle.  Each cycle shows up under
     both of its opposite pairs, so results are deduplicated by edge set.
     """
-    keys = sorted(_all_edge_keys(H))
+    keys = sorted(H.edges())
     # edges go by their rank in ``keys``, which sorts them as the keys sort
     # and hashes and compares faster
     vsets = [set(e) for _, e in keys]
@@ -339,12 +311,9 @@ def _clean_four_iter(H: LayeredHypergraph):
 
 
 def find_clean_four_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
-    """Clean 4-cycles, one witness per dihedral equivalence class."""
-    out = []
-    for w in _clean_four_iter(H):
-        out.append(w)
-        if limit is not None and len(out) >= limit:
-            break
+    """Clean 4-cycles, one witness per dihedral equivalence class; sorted
+    when ``limit`` is None, in scan order otherwise."""
+    out = _take(_clean_four_iter(H), limit)
     if limit is None:
         out.sort(key=CycleWitness.sort_key)
     return out
@@ -353,7 +322,7 @@ def find_clean_four_cycles(H: LayeredHypergraph, limit: int | None = None) -> li
 # -- bouquet ------------------------------------------------------------------
 
 
-def _property_v_iter(H: LayeredHypergraph, buckets: dict[tuple[int, int], list[EdgeKey]]):
+def _property_v_iter(H: LayeredHypergraph, buckets: dict[Edge, list[EdgeKey]]):
     """Layer-3 triples with overlap pattern (2, 2, 1); the middle edge is the
     unique one meeting both others in two vertices.  ``buckets`` are the
     pair buckets of H, of which only the layer-3 entries are read."""
@@ -386,9 +355,7 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
     linear 3-cycle and clean 4-cycle scans cost what the cycle detectors
     cost.
     """
-    violations: list[tuple[str, object]] = []
-
-    buckets = _pair_buckets(H)
+    buckets = _buckets(H)
     # with one nonempty layer, no pair of edges can violate i)
     single_layer = sum(1 for i in range(2, H.k + 1) if H.layers[i]) < 2
     witness_i = None
@@ -401,24 +368,13 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
             witness_ii = CycleWitness(kind="within_layer_overlap", edges=[ka, kb], meeting=shared, ell=len(shared))
         if witness_ii is not None and (witness_i is not None or single_layer):
             break
-    if witness_i is not None:
-        violations.append(("i", witness_i))
-    if witness_ii is not None:
-        violations.append(("ii", witness_ii))
-
-    for w in _linear_three_iter(buckets):
-        if w.h2_count <= 1:
-            violations.append(("iii", w))
-            break
-
-    for w in _clean_four_iter(H):
-        violations.append(("iv", w))
-        break
-
-    for w in _property_v_iter(H, buckets):
-        violations.append(("v", w))
-        break
-
+    # each stream is a temporary, dropped with its indexes before the next
+    # one starts
+    witness_iii = next((w for w in _linear_three_iter(buckets) if w.h2_count <= 1), None)
+    witness_iv = next(_clean_four_iter(H), None)
+    witness_v = next(_property_v_iter(H, buckets), None)
+    found = zip(("i", "ii", "iii", "iv", "v"), (witness_i, witness_ii, witness_iii, witness_iv, witness_v))
+    violations = [(prop, w) for prop, w in found if w is not None]
     return BouquetReport(holds=not violations, violations=violations)
 
 
@@ -460,17 +416,18 @@ def check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> lis
     conditions i), ii), v) no such triple exists; this detector checks the
     pattern directly.
     """
-    keys = sorted(_all_edge_keys(H))
-    buckets = _pair_buckets(H)
-    out: list[CycleWitness] = []
-    for mid_key in keys:
+    return _take(_vprime_iter(H), limit)
+
+
+def _vprime_iter(H: LayeredHypergraph):
+    """v' triples, middle edges in sorted order, partner pairs sorted."""
+    buckets = _buckets(H)
+    for mid_key in sorted(H.edges()):
         mid = mid_key[1]
         partners: dict[EdgeKey, int] = {}
-        seen: set[EdgeKey] = set()
         for pair in itertools.combinations(mid, 2):
-            for other in buckets.get(pair, ()):
-                if other != mid_key and other not in seen:
-                    seen.add(other)
+            for other in buckets[pair]:
+                if other != mid_key and other not in partners:
                     partners[other] = _inter_size(other[1], mid)
         plist = sorted(partners)
         for i, ka in enumerate(plist):
@@ -478,20 +435,13 @@ def check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> lis
             if s < 2:
                 continue
             for kb in plist[i + 1 :]:
-                if partners[kb] != s:
-                    continue
-                if _inter_size(ka[1], kb[1]) == s - 1:
-                    out.append(
-                        CycleWitness(
-                            kind="vprime",
-                            ell=s + 1,
-                            edges=sorted([ka, mid_key, kb]),
-                            meeting=tuple(sorted(set(ka[1]) & set(kb[1]))),
-                        )
+                if partners[kb] == s and _inter_size(ka[1], kb[1]) == s - 1:
+                    yield CycleWitness(
+                        kind="vprime",
+                        ell=s + 1,
+                        edges=sorted([ka, mid_key, kb]),
+                        meeting=tuple(sorted(set(ka[1]) & set(kb[1]))),
                     )
-                    if limit is not None and len(out) >= limit:
-                        return out
-    return out
 
 
 # -- links and families --------------------------------------------------------
@@ -619,7 +569,7 @@ def prune_short_cycles(
     two_ells: tuple[int, ...] = (),
     linear3: bool = False,
     clean4: bool = False,
-    batch: int = 512,
+    batch: int | None = 512,
 ) -> tuple[set[int], dict]:
     """Delete the lowest vertex of each detected cycle, in batches, until the
     graph induced on the kept vertices is clean for the requested kinds.
@@ -640,7 +590,10 @@ def prune_short_cycles(
     A resumed stream would walk every cycle of the first graph, dead or
     alive, and on dense inputs a clean 4-cycle stream over the first graph
     costs far more than the passes it would save.
+
+    ``batch`` is None (take every cycle in one pass) or at least 1.
     """
+    check_limit("batch", batch, 1)
     deleted = {"two_cycle": 0, "linear_three": 0, "clean_four": 0}
     passes = 0
     order = sorted(set(keep))
@@ -653,15 +606,10 @@ def prune_short_cycles(
         passes += 1
         doomed: set[int] = set()
         for stream in streams:
-            taken = 0
-            for w in stream:
-                if not all(alive[v] for _, e in w.edges for v in e):
-                    continue
+            live = (w for w in stream if all(alive[v] for _, e in w.edges for v in e))
+            for w in _take(live, batch):
                 doomed.add(min(v for _, e in w.edges for v in e))
                 deleted["two_cycle"] += 1
-                taken += 1
-                if batch is not None and taken >= batch:
-                    break
         if linear3 or clean4:
             survivors = [v for v in range(base.n) if alive[v]]
             sub = base if len(survivors) == base.n else base.induce(survivors)[0]

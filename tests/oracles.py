@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import itertools
 
-from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex, _vertex_set
+from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex
+from hyperind.errors import InvalidArguments, InvalidVertex
 from hyperind.structure import (
     BouquetReport,
     CycleWitness,
-    _all_edge_keys,
     _inter_size,
-    _linear_three_iter,
     _orient_clean_cycle,
-    _pair_buckets,
 )
 
 EdgeKey = tuple[int, tuple[int, ...]]
@@ -616,6 +614,207 @@ def replay_almost_regular_complete(
         "stalled_layers": stalled,
     }
     return H2, B, info
+
+
+# -- helpers of the code before the one-index rewrite -------------------------
+#
+# Verbatim copies, renamed: the id-set helper of the core queries, the
+# shared indexes of the cycle detectors, the 2-cycle, linear 3-cycle and v'
+# scans and their accumulate-and-break readers, as they were before the
+# detectors became streams over one bucket index read through one ``limit``
+# reader.  The replays below use them, so they keep comparing against the
+# old code; for every limit >= 1 and None the detectors must give the same
+# witnesses in the same order.
+
+
+def _vertex_set(vertices) -> set:
+    """set(vertices), with unhashable ids raised as InvalidVertex."""
+    try:
+        return set(vertices)
+    except TypeError as exc:
+        raise InvalidVertex(f"vertex ids must be integers: {exc}") from None
+
+
+def _all_edge_keys(H: LayeredHypergraph) -> list[EdgeKey]:
+    return [(layer, e) for layer, e in H.edges()]
+
+
+def _pair_buckets(H: LayeredHypergraph) -> dict[tuple[int, int], list[EdgeKey]]:
+    """vertex pair -> edges containing it, across every layer."""
+    buckets: dict[tuple[int, int], list[EdgeKey]] = {}
+    for layer, e in H.edges():
+        for pair in itertools.combinations(e, 2):
+            buckets.setdefault(pair, []).append((layer, e))
+    return buckets
+
+
+def _linear_three_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
+    """Yield linear 3-cycles once each, in deterministic order, from the
+    pair buckets of a hypergraph.
+
+    The meeting vertices of a linear 3-cycle form a triangle in the graph of
+    covered vertex pairs, so enumeration walks those triangles and filters
+    edge combinations by the exact-singleton conditions.
+    """
+    adj: dict[int, set[int]] = {}
+    for a, b in buckets:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    for a, b in sorted(buckets):
+        common = adj[a] & adj[b]
+        for c in sorted(v for v in common if v > b):
+            if (a, c) not in buckets or (b, c) not in buckets:
+                continue
+            # roles: e_ab meets e_ac at a, e_ab meets e_bc at b, e_ac meets e_bc at c
+            for ke_ab in sorted(buckets[(a, b)]):
+                set_ab = set(ke_ab[1])
+                if c in set_ab:
+                    continue
+                for ke_ac in sorted(buckets[(a, c)]):
+                    if ke_ac == ke_ab:
+                        continue
+                    set_ac = set(ke_ac[1])
+                    if b in set_ac or len(set_ab & set_ac) != 1:
+                        continue
+                    for ke_bc in sorted(buckets[(b, c)]):
+                        if ke_bc == ke_ab or ke_bc == ke_ac:
+                            continue
+                        set_bc = set(ke_bc[1])
+                        if a in set_bc:
+                            continue
+                        if len(set_ab & set_bc) != 1 or len(set_ac & set_bc) != 1:
+                            continue
+                        edges = sorted([ke_ab, ke_ac, ke_bc])
+                        h2 = sum(1 for layer, _ in edges if layer == 2)
+                        yield CycleWitness(
+                            kind="linear_three",
+                            edges=edges,
+                            meeting=(a, b, c),
+                            h2_count=h2,
+                        )
+
+
+def _subset_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]:
+    buckets: dict[Edge, list[EdgeKey]] = {}
+    for layer, e in H.edges():
+        if len(e) < ell:
+            continue
+        for sub in itertools.combinations(e, ell):
+            buckets.setdefault(sub, []).append((layer, e))
+    return buckets
+
+
+def _replay_overlap_iter(buckets: dict[tuple[int, int], list[EdgeKey]]):
+    """Yield (edge, edge, shared vertices) for every pair of edges sharing at
+    least two vertices, once each, from the pair buckets of a hypergraph.
+
+    A pair sharing j vertices sits in C(j, 2) buckets; it is emitted only
+    from its lexicographically least shared pair, in sorted bucket order.
+    """
+    for pair in sorted(buckets):
+        entries = buckets[pair]
+        if len(entries) < 2:
+            continue
+        entries = sorted(entries)
+        for ka, kb in itertools.combinations(entries, 2):
+            shared = tuple(sorted(set(ka[1]) & set(kb[1])))
+            if shared[:2] == pair:
+                yield ka, kb, shared
+
+
+def _replay_two_cycle_iter(H: LayeredHypergraph, ell: int | None):
+    """Yield (2,l)-cycles in deterministic order.
+
+    With ell fixed, a pair sharing exactly ell vertices sits in exactly one
+    shared ell-subset bucket, so the pass below emits each cycle once.  With
+    ell None, every exact size >= 2 is reported, from ``_overlap_iter``.
+    """
+    if ell is not None:
+        if ell < 2:
+            raise InvalidArguments(f"two-cycle overlap must be >= 2, got {ell}")
+        buckets = _subset_buckets(H, ell)
+        for sub in sorted(buckets):
+            entries = buckets[sub]
+            if len(entries) < 2:
+                continue
+            entries = sorted(entries)
+            for (la, ea), (lb, eb) in itertools.combinations(entries, 2):
+                if (la, ea) == (lb, eb):
+                    continue
+                if _inter_size(ea, eb) == ell:
+                    yield CycleWitness(
+                        kind="two_cycle",
+                        ell=ell,
+                        edges=[(la, ea), (lb, eb)],
+                        meeting=sub,
+                    )
+        return
+    for ka, kb, shared in _replay_overlap_iter(_pair_buckets(H)):
+        yield CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
+
+
+def replay_list_two_cycles(H: LayeredHypergraph, ell: int | None = None, limit: int | None = None) -> list[CycleWitness]:
+    """All (2,l)-cycles, mixed layers included; ell None means any l >= 2.
+
+    ``limit`` truncates the enumeration deterministically.
+    """
+    out = []
+    for w in _replay_two_cycle_iter(H, ell):
+        out.append(w)
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def replay_find_linear_three_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
+    """Linear 3-cycles with their layer-2 edge counts in ``h2_count``."""
+    out = []
+    for w in _linear_three_iter(_pair_buckets(H)):
+        out.append(w)
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def replay_check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
+    """Triples with |e1 & e2| = |e2 & e3| = l-1 and |e1 & e3| = l-2, l >= 3.
+
+    Edges may come from any layers.  In a hypergraph satisfying bouquet
+    conditions i), ii), v) no such triple exists; this detector checks the
+    pattern directly.
+    """
+    keys = sorted(_all_edge_keys(H))
+    buckets = _pair_buckets(H)
+    out: list[CycleWitness] = []
+    for mid_key in keys:
+        mid = mid_key[1]
+        partners: dict[EdgeKey, int] = {}
+        seen: set[EdgeKey] = set()
+        for pair in itertools.combinations(mid, 2):
+            for other in buckets.get(pair, ()):
+                if other != mid_key and other not in seen:
+                    seen.add(other)
+                    partners[other] = _inter_size(other[1], mid)
+        plist = sorted(partners)
+        for i, ka in enumerate(plist):
+            s = partners[ka]
+            if s < 2:
+                continue
+            for kb in plist[i + 1 :]:
+                if partners[kb] != s:
+                    continue
+                if _inter_size(ka[1], kb[1]) == s - 1:
+                    out.append(
+                        CycleWitness(
+                            kind="vprime",
+                            ell=s + 1,
+                            edges=sorted([ka, mid_key, kb]),
+                            meeting=tuple(sorted(set(ka[1]) & set(kb[1]))),
+                        )
+                    )
+                    if limit is not None and len(out) >= limit:
+                        return out
+    return out
 
 
 # -- the bouquet check and contraction before their rewrites -------------------

@@ -55,6 +55,17 @@ def test_check_flags_violations_and_json(tmp_path, capsys):
     assert data["linear_three_seen"]
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_check_limit_below_one_exits_2_before_reading(tmp_path, capsys, limit):
+    path = tmp_path / "g.hg"
+    write_file(LayeredHypergraph(4, 3), path)
+    for target in (path, tmp_path / "missing.hg"):
+        code, out, err = run(capsys, "check", target, "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert "--limit must be at least 1" in err
+
+
 def test_schedule_output(capsys):
     code, out, _ = run(
         capsys, "schedule", "--n", 100000, "--T", math.e ** 9, "--k", 4

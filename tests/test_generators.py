@@ -151,6 +151,16 @@ def test_girth5_rejects_bad_t_at_every_n(n, t):
         gen_girth5(n, 3, t, stream(1, "x"))
 
 
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("batch", [0, -1])
+def test_girth5_rejects_batches_below_one_before_drawing(n, batch):
+    rng = stream(1, "x")
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidArguments, match="batch"):
+        gen_girth5(n, 3, 2.0, rng, batch=batch)
+    assert rng.bit_generator.state == state
+
+
 def test_girth5_deterministic_per_seed():
     a, _ = gen_girth5(50, 3, 2.0, stream(6, "g5-det"))
     b, _ = gen_girth5(50, 3, 2.0, stream(6, "g5-det"))

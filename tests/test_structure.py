@@ -32,8 +32,11 @@ from oracles import (
     brute_two_cycles,
     brute_vprime,
     replay_check_bouquet,
+    replay_check_property_vprime,
     replay_find_clean_four_cycles,
+    replay_find_linear_three_cycles,
     replay_layered_bouquet,
+    replay_list_two_cycles,
     replay_prune_short_cycles,
     random_layered,
 )
@@ -150,6 +153,57 @@ def test_bouquet_report_serializes():
     assert report.holds  # a sunflower is fine
     d = report.to_dict()
     assert d == {"holds": True, "violations": []}
+
+
+# -- the limit contract --------------------------------------------------------
+
+DETECTORS = {
+    "two_cycles": lambda H, limit: list_two_cycles(H, limit=limit),
+    "two_cycles_ell2": lambda H, limit: list_two_cycles(H, ell=2, limit=limit),
+    "linear_three": lambda H, limit: find_linear_three_cycles(H, limit=limit),
+    "clean_four": lambda H, limit: find_clean_four_cycles(H, limit=limit),
+    "vprime": lambda H, limit: check_property_vprime(H, limit=limit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_limit_reads_a_prefix_of_the_stream(name):
+    detect = DETECTORS[name]
+    H = gen_gnp(12, 3, 0.5, stream(1))
+    assert len(detect(H, None)) >= 3
+    assert detect(H, 0) == []
+    first = [w.to_dict() for w in detect(H, 3)]
+    assert len(first) == 3
+    assert [w.to_dict() for w in detect(H, 2)] == first[:2]
+    for limit in (-1, -3):
+        with pytest.raises(InvalidArguments, match="limit"):
+            detect(H, limit)
+
+
+def test_prune_rejects_batches_below_one():
+    H = gen_gnp(12, 3, 0.5, stream(1))
+    for batch in (0, -2):
+        with pytest.raises(InvalidArguments, match="batch"):
+            prune_short_cycles(H, set(range(H.n)), two_ells=(2,), batch=batch)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_detector_streams_match_replay(seed, k):
+    # the detectors before they became streams over one bucket index: equal
+    # witnesses in equal order, for every limit >= 1 and None
+    rng = stream(seed, "struct-stream-replay", k)
+    n = int(rng.integers(k + 1, 14))
+    H = random_layered(rng, n=n, k=k, edges=int(rng.integers(0, 3 * n)))
+
+    def dicts(witnesses):
+        return [w.to_dict() for w in witnesses]
+
+    for limit in (1, 2, 5, None):
+        for ell in (None, *range(2, k + 1)):
+            assert dicts(list_two_cycles(H, ell, limit)) == dicts(replay_list_two_cycles(H, ell, limit))
+        assert dicts(find_linear_three_cycles(H, limit)) == dicts(replay_find_linear_three_cycles(H, limit))
+        assert dicts(check_property_vprime(H, limit)) == dicts(replay_check_property_vprime(H, limit))
 
 
 # -- oracle equivalence --------------------------------------------------------
