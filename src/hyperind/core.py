@@ -3,7 +3,9 @@
 A layered hypergraph on vertex set {0, ..., n-1} holds one edge family per
 uniformity i = 2..k.  Edges are sorted vertex tuples; each layer rejects
 duplicates, so the families are plain sets.  All mutation goes through
-``add_edge``; every query below is read-only and safe to call concurrently.
+``add_edge`` (or ``_extend_layer``, its unchecked bulk form for edges known
+to be valid and new); every query below is read-only and safe to call
+concurrently.
 
 The on-disk format is line-oriented:
 
@@ -151,6 +153,19 @@ class LayeredHypergraph:
         if len(set(ids)) != len(ids):
             raise InvalidUniformity(f"repeated vertex in edge {edge}")
         return tuple(sorted(ids))
+
+    def _extend_layer(self, size: int, edges: list[Edge]) -> None:
+        """``add_edge`` of each edge in turn, unchecked: the caller knows the
+        edges to be sorted tuples of plain int ids in 0..n-1, all of one size
+        in 2..k, pairwise distinct and not yet in the graph."""
+        layer = self.layers[size]
+        incidence = self.incidence
+        for idx, edge in enumerate(edges, len(layer)):
+            entry = (size, idx)
+            for v in edge:
+                incidence[v].append(entry)
+        layer.extend(edges)
+        self._edge_sets[size].update(edges)
 
     def pop_edge(self, layer: int) -> Edge:
         """Remove and return the most recently added edge of the layer.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import InvalidArguments
 from .structure import (
     check_bouquet,
     check_bouquet_around,
+    check_integer,
     check_limit,
     find_clean_four_cycles,
     find_linear_three_cycles,
@@ -28,6 +30,10 @@ from .structure import (
 
 # refuse to materialize absurd instances rather than hang
 MAX_EXPECTED_EDGES = 5_000_000
+
+# gen_gnp draws its uniforms this many at a time; small blocks cost no more
+# per value than large ones and waste less memory on small draws
+_DRAW_BLOCK = 1 << 12
 
 
 def _binomial_tables(n: int, k: int) -> list[list[int]]:
@@ -39,23 +45,34 @@ def _binomial_tables(n: int, k: int) -> list[list[int]]:
     return tables
 
 
-def _unrank_combination(idx: int, n: int, k: int, tables: list[list[int]]) -> tuple[int, ...]:
-    """Lexicographic k-combination of range(n) at position idx, given
-    ``_binomial_tables(n, k)``."""
-    out = []
-    r = idx
-    m = n  # the values n - m .. n - 1 are still free
-    for j in range(k, 0, -1):
-        col = tables[j]
+def _unrank_combinations(ranks, n: int, k: int) -> np.ndarray:
+    """The lexicographic k-combinations of range(n) at the given ranks, each
+    in 0..C(n, k) - 1, as the rows of an int64 array.
+
+    All ranks go through each of the k positions together.  Ranks and
+    binomials are int64 when C(n, k) < 2^63 and Python ints in an object
+    array otherwise, so the arithmetic is exact either way.
+    """
+    total = math.comb(n, k)
+    dtype = np.int64 if total < 2**63 else object
+    r = np.array(ranks, dtype=dtype)
+    m = np.full(len(r), n)  # per rank, the values n - m .. n - 1 are still free
+    out = np.empty((len(r), k), dtype=np.int64)
+    for pos, col in enumerate(reversed(_binomial_tables(n, k)[1:])):
+        # col is C(t, j) for the j = k - pos values still to pick.  A search
+        # never reaches past C(m, j) <= C(n, k), so larger entries are cut.
+        col = np.array(col[: bisect.bisect_right(col, total)], dtype=dtype)
         # combinations skipping the first i free values number
         # C(m, j) - C(m - i, j), so the next value is n - 1 - t for the
-        # largest t < m with C(t, j) < C(m, j) - r; C(t, j) rises with t
+        # largest t < m with C(t, j) < C(m, j) - r.  C(t, j) rises with t
+        # from C(j - 1, j) = 0 and 1 <= C(m, j) - r <= C(m, j), so a search
+        # of the whole column lands in j - 1 .. m - 1.
         head = col[m]
-        t = bisect.bisect_left(col, head - r, j, m) - 1
-        out.append(n - 1 - t)
-        r -= head - col[t + 1]
+        t = np.searchsorted(col, head - r) - 1
+        out[:, pos] = n - 1 - t
+        r = r - (head - col[t + 1])
         m = t
-    return tuple(out)
+    return out
 
 
 def gen_gnp(
@@ -66,13 +83,21 @@ def gen_gnp(
     Edges are visited by jumping geometric gaps through the lexicographic
     enumeration, so the cost is proportional to the number of edges drawn,
     not to C(n, k).
+
+    Each gap takes one ``rng.random()`` value, one more than there are
+    edges.  The values are drawn ``_DRAW_BLOCK`` at a time.  The block that
+    holds the last one is drawn again from the ``rng.bit_generator.state``
+    saved before it, this time only up to that value, so ``rng`` ends where
+    one-at-a-time draws leave it, whatever its bit generator.
     """
+    check_integer("n", n)
+    check_integer("k", k)
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
     if n < 0:
         raise InvalidArguments(f"n must be nonnegative, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise InvalidArguments(f"p must lie in [0, 1], got {p}")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (0.0 <= p <= 1.0):
+        raise InvalidArguments(f"p must be a number in [0, 1], got {p!r}")
     H = LayeredHypergraph(n, k)
     total = math.comb(n, k)
     if total == 0 or p == 0.0:
@@ -82,20 +107,22 @@ def gen_gnp(
             f"expected edge count {p * total:.3g} exceeds {MAX_EXPECTED_EDGES}"
         )
     if p >= 1.0:
-        for e in itertools.combinations(range(n), k):
-            H.add_edge(e)
+        H._extend_layer(k, list(itertools.combinations(range(n), k)))
         return H
-    tables = _binomial_tables(n, k)
-    log_q = math.log1p(-p)
+    log, log_q = math.log, math.log1p(-p)
+    ranks = []
     idx = -1
-    while True:
-        u = rng.random()
-        # geometric gap: failures before the next success
-        gap = int(math.log(u) / log_q) if u > 0.0 else total
-        idx += gap + 1
-        if idx >= total:
-            break
-        H.add_edge(_unrank_combination(idx, n, k, tables))
+    while idx < total:
+        state = rng.bit_generator.state
+        for used, u in enumerate(rng.random(_DRAW_BLOCK).tolist(), 1):
+            # geometric gap: failures before the next success
+            idx += (int(log(u) / log_q) if u > 0.0 else total) + 1
+            if idx >= total:
+                rng.bit_generator.state = state
+                rng.random(used)
+                break
+            ranks.append(idx)
+    H._extend_layer(k, list(map(tuple, _unrank_combinations(ranks, n, k).tolist())))
     return H
 
 
@@ -114,10 +141,12 @@ def gen_girth5(
     The expected cycle counts scale with powers of t alone, which keeps the
     deletion stage small even for large n.
     """
+    check_integer("n", n)
+    check_integer("k", k)
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    if not (math.isfinite(t) and t > 0):
-        raise InvalidArguments(f"t must be finite and positive, got {t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t > 0):
+        raise InvalidArguments(f"t must be finite and positive, got {t!r}")
     check_limit("batch", batch, 1)
     # with n < k there is no k-set to draw, and the stages find nothing
     p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1)) if n >= k else 0.0
@@ -166,6 +195,8 @@ def gen_disjoint_cliques(n: int, k: int, s: int) -> tuple[LayeredHypergraph, dic
     The optimum is known exactly: each clique of size s >= k contributes
     k - 1 vertices, smaller blocks and leftovers contribute everything.
     """
+    for name, value in (("n", n), ("k", k), ("s", s)):
+        check_integer(name, value)
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
     if s < 1:
@@ -214,12 +245,20 @@ def gen_layered_bouquet(
     ``check_bouquet`` would, because the graph is clean before the
     candidate is added, so any violation has to go through the candidate.
     """
+    check_integer("n", n)
+    check_integer("k", k)
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    for i in counts:
+    for i, target in counts.items():
+        check_integer("layer", i)
         if not (2 <= i <= k):
             raise InvalidArguments(f"layer {i} outside 2..{k}")
+        check_integer(f"counts[{i}]", target)
+        if target < 0:
+            raise InvalidArguments(f"counts[{i}] must be nonnegative")
     vertex_caps = dict(vertex_caps or {})
+    for i, cap in vertex_caps.items():
+        check_integer(f"vertex_caps[{i}]", cap)
     H = LayeredHypergraph(n, k)
     achieved = {i: 0 for i in sorted(counts)}
     stalled: list[int] = []
@@ -227,8 +266,6 @@ def gen_layered_bouquet(
 
     for i in sorted(counts):
         target = counts[i]
-        if target < 0:
-            raise InvalidArguments(f"counts[{i}] must be nonnegative")
         if n < i:
             if target:
                 stalled.append(i)

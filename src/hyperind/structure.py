@@ -21,16 +21,22 @@ A strengthened form of v) for every uniformity (the v' pattern,
 |e1 & e2| = |e2 & e3| = l-1 with |e1 & e3| = l-2) follows from i), ii), v);
 ``check_property_vprime`` detects it directly.
 
-Every detector is a lazy stream of witnesses in a fixed order, built on one
-index (``_buckets``) and read in one way (``_take``).  A ``limit`` argument
-reads a prefix of that stream: ``None`` means every witness, ``0`` none, and
-a negative limit raises InvalidArguments.
+Every detector is a lazy stream of witnesses in a fixed order, read in one
+way (``_take``).  The (2,l)-cycle streams are built on the shared-subset
+index (``_shared_buckets``), which holds only the l-subsets lying in two or
+more edges; ``check_bouquet``, the linear 3-cycle scan and the v' scan need
+every covered pair and use ``_buckets``.  A ``limit`` argument reads a
+prefix of a stream: ``None`` means every witness, ``0`` none, and a negative
+or non-integer limit raises InvalidArguments.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import LayeredHypergraph
 from .errors import InvalidArguments
@@ -113,20 +119,65 @@ class Classification:
 # -- shared index and reader --------------------------------------------------
 
 
-def _buckets(H: LayeredHypergraph, ell: int = 2) -> dict[Edge, list[EdgeKey]]:
-    """vertex ell-subset -> the (layer, edge) keys of H containing it, across
-    every layer, in ``H.edges()`` order; the keys are the tuples
-    ``H.edges()`` yields, shared by every bucket of an edge."""
+def _buckets(H: LayeredHypergraph) -> dict[Edge, list[EdgeKey]]:
+    """vertex pair -> the (layer, edge) keys of H containing it, for every
+    covered pair, across every layer, in ``H.edges()`` order; the keys are
+    the tuples ``H.edges()`` yields, shared by every bucket of an edge."""
     buckets: dict[Edge, list[EdgeKey]] = {}
     for key in H.edges():
-        for sub in itertools.combinations(key[1], ell):
+        for sub in itertools.combinations(key[1], 2):
             buckets.setdefault(sub, []).append(key)
     return buckets
 
 
+def _shared_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]:
+    """vertex ell-subset -> the (layer, edge) keys of H containing it, for the
+    subsets lying in two or more edges; entries and keys as in ``_buckets``.
+
+    The ell-subsets of every edge are stacked as the rows of one array and
+    ordered by one stable ``np.lexsort``, so equal subsets form runs whose
+    owners keep ``H.edges()`` order; only runs of two or more become
+    buckets.
+    """
+    keys = list(H.edges())
+    rows, owners = [], []
+    first = 0  # rank in ``keys`` of the layer's first edge
+    for i in range(2, H.k + 1):
+        edges = H.layers[i]
+        if edges and i >= ell:
+            cols = list(itertools.combinations(range(i), ell))
+            rows.append(np.array(edges, dtype=np.int64)[:, cols].reshape(-1, ell))
+            owners.append(np.repeat(np.arange(first, first + len(edges)), len(cols)))
+        first += len(edges)
+    if not rows:
+        return {}
+    subsets = np.concatenate(rows)
+    order = np.lexsort(subsets.T[::-1])
+    subsets = subsets[order]
+    owner = np.concatenate(owners)[order].tolist()
+    # run boundaries: every row that differs from the one before it, and the end
+    bounds = np.flatnonzero(np.concatenate(([True], (subsets[1:] != subsets[:-1]).any(axis=1), [True])))
+    shared = np.flatnonzero(np.diff(bounds) >= 2)
+    starts, ends = bounds[shared], bounds[shared + 1]
+    return {
+        tuple(sub): [keys[g] for g in owner[a:b]]
+        for sub, a, b in zip(subsets[starts].tolist(), starts.tolist(), ends.tolist())
+    }
+
+
+def check_integer(name: str, value) -> None:
+    """InvalidArguments unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArguments(f"{name} must be an integer, got {value!r}")
+
+
 def check_limit(name: str, value: int | None, least: int) -> None:
-    """InvalidArguments unless ``value`` is None (no cap) or at least ``least``."""
-    if value is not None and value < least:
+    """InvalidArguments unless ``value`` is None (no cap) or an integer of at
+    least ``least``."""
+    if value is None:
+        return
+    check_integer(name, value)
+    if value < least:
         raise InvalidArguments(f"{name} must be None or at least {least}, got {value}")
 
 
@@ -166,12 +217,17 @@ def _overlap_iter(buckets: dict[Edge, list[EdgeKey]], ell: int | None = None):
 
 def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
     """(2,l)-cycles in deterministic order; ell None reports every exact
-    size >= 2.  A bad ell raises here, not at the first witness."""
-    if ell is not None and ell < 2:
-        raise InvalidArguments(f"two-cycle overlap must be >= 2, got {ell}")
+    size >= 2.  A bad ell raises here, not at the first witness.
+
+    Only buckets of two or more edges can hold a witness, and the pair of
+    edges sharing j >= 2 vertices sits in the bucket of its least shared
+    pair, so ``_overlap_iter`` meets the same witnesses in the shared-subset
+    index as in ``_buckets``.
+    """
+    check_limit("ell", ell, 2)
     return (
         CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
-        for ka, kb, shared in _overlap_iter(_buckets(H, ell or 2), ell)
+        for ka, kb, shared in _overlap_iter(_shared_buckets(H, ell or 2), ell)
     )
 
 

@@ -3,13 +3,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments
 from hyperind.generators import (
-    _binomial_tables,
-    _unrank_combination,
+    _DRAW_BLOCK,
+    _unrank_combinations,
     gen_disjoint_cliques,
     gen_girth5,
     gen_gnp,
@@ -30,6 +31,17 @@ from oracles import (
     replay_layered_bouquet,
     unrank_combination,
 )
+
+
+def plain_state(rng) -> dict:
+    """``rng.bit_generator.state`` with its arrays as lists, comparable by ==."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {key: plain(value) for key, value in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
 
 
 def test_gnp_validation():
@@ -67,31 +79,90 @@ def test_gnp_p_zero_and_one():
 @pytest.mark.parametrize("n", range(0, 11))
 def test_unrank_every_index_small(n):
     for k in range(1, 6):
-        tables = _binomial_tables(n, k)
-        for idx, comb in enumerate(itertools.combinations(range(n), k)):
-            assert _unrank_combination(idx, n, k, tables) == comb
+        combs = list(itertools.combinations(range(n), k))
+        rows = _unrank_combinations(list(range(len(combs))), n, k).tolist()
+        for idx, (row, comb) in enumerate(zip(rows, combs, strict=True)):
+            assert tuple(row) == comb
             assert unrank_combination(idx, n, k) == comb
 
 
-@pytest.mark.parametrize("n, k", [(10**5, 5), (1000, 3), (300, 8), (64, 32)])
+# (100, 95): C(100, 50) overflows int64 although C(100, 95) does not
+@pytest.mark.parametrize("n, k", [(10**5, 5), (1000, 3), (300, 8), (64, 32), (100, 95)])
 def test_unrank_matches_reference_on_large_n(n, k):
     total = math.comb(n, k)
-    tables = _binomial_tables(n, k)
     rng = stream(n, "unrank", k)
     picks = {0, 1, total // 2, total - 2, total - 1}
     picks.update(int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(300))
     if total > 2**63:
         picks.update({2**63 - 1, 2**63, 2**63 + 1})
-    for idx in picks:
-        assert _unrank_combination(idx, n, k, tables) == unrank_combination(idx, n, k)
-    assert _unrank_combination(total - 1, n, k, tables) == tuple(range(n - k, n))
+    picks = sorted(picks)
+    rows = _unrank_combinations(picks, n, k).tolist()
+    for idx, row in zip(picks, rows, strict=True):
+        assert tuple(row) == unrank_combination(idx, n, k)
+    assert tuple(rows[-1]) == tuple(range(n - k, n))
 
 
 @pytest.mark.parametrize("n, k, p", [(30, 3, 0.05), (25, 4, 0.01), (40, 2, 0.3), (12, 5, 0.5)])
 def test_gnp_edges_in_reference_unranking_order(n, k, p):
     for seed in range(3):
-        H = gen_gnp(n, k, p, stream(seed, "gnp-order"))
-        assert H.layers == replay_gnp(n, k, p, stream(seed, "gnp-order")).layers
+        rng, replay_rng = stream(seed, "gnp-order"), stream(seed, "gnp-order")
+        H = gen_gnp(n, k, p, rng)
+        assert H.layers == replay_gnp(n, k, p, replay_rng).layers
+        assert plain_state(rng) == plain_state(replay_rng)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize(
+    "n, k, p",
+    [
+        (30, 3, 0.05),  # a few hundred edges, all in the first block
+        (60, 3, 0.3),  # ~10k edges: full blocks, then the rewind in a later one
+        (50, 3, 1e-12),  # no edge: the first value already jumps past the end
+        (10_000, 6, 300 / math.comb(10_000, 6)),  # C(n, k) >= 2^63: object ranks
+    ],
+)
+def test_gnp_matches_one_draw_at_a_time(bit_generator, n, k, p):
+    rng, replay_rng = (np.random.Generator(bit_generator(7)) for _ in range(2))
+    H = gen_gnp(n, k, p, rng)
+    R = replay_gnp(n, k, p, replay_rng)
+    assert H.layers == R.layers
+    assert H.incidence == R.incidence
+    assert H == R
+    assert plain_state(rng) == plain_state(replay_rng)
+    if p == 0.3:
+        assert H.num_edges() > _DRAW_BLOCK
+    if p == 1e-12:
+        assert H.num_edges() == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: gen_gnp(True, 2, 0.1, rng),
+        lambda rng: gen_gnp(10.0, 3, 0.1, rng),
+        lambda rng: gen_gnp(10, 3.0, 0.1, rng),
+        lambda rng: gen_gnp(10, 3, "0.1", rng),
+        lambda rng: gen_gnp(10, 3, True, rng),
+        lambda rng: gen_girth5(30.0, 3, 2.0, rng),
+        lambda rng: gen_girth5(30, True, 2.0, rng),
+        lambda rng: gen_girth5(30, 3, "2", rng),
+        lambda rng: gen_girth5(30, 3, 2.0, rng, batch=2.5),
+        lambda rng: gen_girth5(30, 3, 2.0, rng, batch=True),
+        lambda rng: gen_disjoint_cliques(10, 3, 2.5),
+        lambda rng: gen_disjoint_cliques(10.0, 3, 2),
+        lambda rng: gen_disjoint_cliques(10, True, 2),
+        lambda rng: gen_layered_bouquet(10.0, 3, {2: 1}, rng),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1, 3: 1.5}, rng),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1, 3: -1}, rng),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={2: "1"}),
+    ],
+)
+def test_generators_reject_non_integer_sizes_before_drawing(call):
+    rng = stream(1, "bad-size")
+    state = plain_state(rng)
+    with pytest.raises(InvalidArguments):
+        call(rng)
+    assert plain_state(rng) == state
 
 
 def test_gnp_deterministic_per_seed():

@@ -187,6 +187,60 @@ def test_prune_rejects_batches_below_one():
             prune_short_cycles(H, set(range(H.n)), two_ells=(2,), batch=batch)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+def test_non_integer_limit_ell_and_batch_raise(value):
+    H = gen_gnp(12, 3, 0.5, stream(1))
+    for name in sorted(DETECTORS):
+        with pytest.raises(InvalidArguments, match="limit"):
+            DETECTORS[name](H, value)
+    with pytest.raises(InvalidArguments, match="ell"):
+        list_two_cycles(H, ell=value)
+    with pytest.raises(InvalidArguments, match="ell"):
+        count_two_cycles(H, value)
+    with pytest.raises(InvalidArguments, match="batch"):
+        prune_short_cycles(H, set(range(H.n)), two_ells=(2,), batch=value)
+
+
+def _layers_two_and_four() -> LayeredHypergraph:
+    # layer 3 stays empty between two full ones
+    H = random_layered(stream(3, "two-and-four"), n=14, k=4, edges=200)
+    G = LayeredHypergraph(14, 4)
+    for layer, e in H.edges():
+        if layer != 3:
+            G.add_edge(e)
+    return G
+
+
+DENSE_TWO_CYCLE_INPUTS = {
+    "gnp_k3": lambda: gen_gnp(30, 3, 0.2, stream(1, "dense-2cyc")),
+    "gnp_k4": lambda: gen_gnp(20, 4, 0.1, stream(2, "dense-2cyc")),
+    "gnp_k5": lambda: gen_gnp(14, 5, 0.1, stream(3, "dense-2cyc")),
+    "mixed_k4": lambda: random_layered(stream(4, "dense-2cyc"), n=15, k=4, edges=300),
+    "mixed_k5": lambda: random_layered(stream(5, "dense-2cyc"), n=18, k=5, edges=400),
+    "layers_2_and_4": _layers_two_and_four,
+    "empty": lambda: LayeredHypergraph(0, 3),
+    "edgeless": lambda: LayeredHypergraph(10, 4),
+    "one_edge": lambda: gen_gnp(4, 4, 1.0, stream(6, "dense-2cyc")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_TWO_CYCLE_INPUTS))
+def test_two_cycles_match_replay_on_dense_inputs(name):
+    # hundreds of pairs and subsets shared by many edges, where the
+    # shared-subset index does all its grouping
+    H = DENSE_TWO_CYCLE_INPUTS[name]()
+
+    def dicts(witnesses):
+        return [w.to_dict() for w in witnesses]
+
+    for ell in (None, *range(2, H.k + 2)):
+        full = dicts(replay_list_two_cycles(H, ell))
+        for limit in (1, 5, None):
+            assert dicts(list_two_cycles(H, ell, limit)) == full[:limit]
+        if ell is not None:
+            assert count_two_cycles(H, ell) == len(full)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
 def test_detector_streams_match_replay(seed, k):
