@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +51,12 @@ Edge = tuple[int, ...]
 # header limits of read_file; see the module docstring
 MAX_FILE_VERTICES = 10**7
 MAX_FILE_UNIFORMITY = 64
+
+
+def check_integer(name: str, value) -> None:
+    """InvalidArguments unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArguments(f"{name} must be an integer, got {value!r}")
 
 
 def _as_vertex(v, n: int) -> int:
@@ -95,6 +102,8 @@ class LayeredHypergraph:
     __slots__ = ("n", "k", "layers", "_edge_sets", "incidence")
 
     def __init__(self, n: int, k: int):
+        check_integer("n", n)
+        check_integer("k", k)
         if n < 0:
             raise InvalidArguments(f"n must be nonnegative, got {n}")
         if k < 2:

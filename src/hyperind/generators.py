@@ -15,12 +15,11 @@ import numbers
 
 import numpy as np
 
-from .core import LayeredHypergraph
+from .core import LayeredHypergraph, check_integer
 from .errors import InvalidArguments
 from .structure import (
     check_bouquet,
     check_bouquet_around,
-    check_integer,
     check_limit,
     find_clean_four_cycles,
     find_linear_three_cycles,

@@ -57,6 +57,18 @@ def test_add_edge_validation():
         LayeredHypergraph(4, 1)
 
 
+@pytest.mark.parametrize("n, k", [(True, 3), (False, 3), (10.0, 3), (10, 3.0), ("10", 3), (10, True), (None, 3)])
+def test_constructor_rejects_non_integer_sizes(n, k):
+    with pytest.raises(InvalidArguments, match="must be an integer"):
+        LayeredHypergraph(n, k)
+
+
+def test_constructor_takes_numpy_integer_sizes():
+    H = LayeredHypergraph(np.int64(5), np.int32(3))
+    assert H.add_edge((0, 4, 2))
+    assert len(H.incidence) == 5 and sorted(H.layers) == [2, 3]
+
+
 @pytest.mark.parametrize(
     "bad", [(0.5, 1), (True, 2), (0, False), ("1", 2), (None, 1), (1, 2.0), (0, 1, -1)]
 )

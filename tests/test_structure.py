@@ -351,6 +351,40 @@ def test_bouquet_matches_replay_on_rough_file():
     _assert_bouquet_replayed(H, limits=(1, 2, 5))
 
 
+# name -> (graph, what the full list is compared with: "brute" for the
+# brute-force oracle and the replay, "replay" for the replay alone, None
+# where it holds ~10^5-10^6 cycles and only prefixes are compared)
+DENSE_CLEAN_FOUR_INPUTS = {
+    "gnp_n9_p05": (lambda: gen_gnp(9, 3, 0.5, stream(1, "dense-4cyc")), "brute"),
+    "gnp_n10_p06": (lambda: gen_gnp(10, 3, 0.6, stream(2, "dense-4cyc")), "replay"),
+    "gnp_n10_k4_p05": (lambda: gen_gnp(10, 4, 0.5, stream(3, "dense-4cyc")), None),
+    "gnp_n14_p05": (lambda: gen_gnp(14, 3, 0.5, stream(4, "dense-4cyc")), None),
+    "mixed_n10_k4": (lambda: random_layered(stream(5, "dense-4cyc"), n=10, k=4, edges=45), "brute"),
+    "mixed_n12_k3": (lambda: random_layered(stream(6, "dense-4cyc"), n=12, k=3, edges=60), "replay"),
+    "complete_n12": (lambda: gen_gnp(12, 3, 1.0, stream(7, "dense-4cyc")), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CLEAN_FOUR_INPUTS))
+def test_clean_four_matches_replay_on_dense_inputs(name):
+    # every cycle is met under both diagonals, so on these graphs the scan's
+    # x < mid < e3 rule drops as many repeats as the replay's emitted set
+    build, full = DENSE_CLEAN_FOUR_INPUTS[name]
+    H = build()
+    assert sum(1 for _ in H.edges()) > 4 * H.n
+    assert check_bouquet(H).to_dict() == replay_check_bouquet(H).to_dict()
+    for limit in (1, 7, 50) if full is None else (1, 7, 50, None):
+        witnesses = find_clean_four_cycles(H, limit=limit)
+        expect = replay_find_clean_four_cycles(H, limit=limit)
+        assert [w.to_dict() for w in witnesses] == [w.to_dict() for w in expect]
+    if full is not None:
+        assert len(witnesses) >= 1000
+    if full == "brute":
+        cycles = [frozenset(w.edges) for w in witnesses]
+        assert len(set(cycles)) == len(cycles)
+        assert set(cycles) == set(brute_clean_four(H))
+
+
 def _local_vs_whole(seed: int, k: int) -> set[str]:
     """Grow a clean instance with the whole-graph check, then try candidate
     edges drawn from the vertices of an existing edge f, of an edge through
