@@ -22,18 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import LayeredHypergraph, contract
+from ..core import LayeredHypergraph, check_integer, contract
 from ..errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from ..rng import stream
 from ..schedule import Schedule
 from ..structure import check_bouquet
-from .regular import almost_regular_complete
+from .regular import almost_regular_complete, cap_excess
 
 # attempts per round here, and per residue in the pipelines
 MAX_RETRIES = 1_000
 
 
 def check_retries(name: str, value: int) -> None:
+    check_integer(name, value)
     if not 1 <= value <= MAX_RETRIES:
         raise InvalidArguments(f"{name} must lie in 1..{MAX_RETRIES}, got {value}")
 
@@ -110,23 +111,11 @@ def akpss_step(
     k = H.k
     eps = sched.epsilon
 
-    vertex_caps: dict[int, int] = {}
-    pair_caps: dict[int, int] = {}
-    cap_lifts: list[tuple[str, int, int, int]] = []
-    for i in range(2, k + 1):
-        cap = sched.vertex_cap(m, i)
-        observed = H.max_min_degree(i, 1)[0]
-        if observed > cap:
-            cap_lifts.append(("vertex", i, cap, observed))
-            cap = observed
-        vertex_caps[i] = cap
-    for i in range(3, k + 1):
-        cap = sched.pair_cap(m, i)
-        observed = H.max_min_degree(i, i - 1)[0]
-        if observed > cap:
-            cap_lifts.append(("pair", i, cap, observed))
-            cap = observed
-        pair_caps[i] = cap
+    vertex_caps = {i: sched.vertex_cap(m, i) for i in range(2, k + 1)}
+    pair_caps = {i: sched.pair_cap(m, i) for i in range(3, k + 1)}
+    cap_lifts = cap_excess(H, vertex_caps, pair_caps)
+    for kind, i, _, observed in cap_lifts:
+        (vertex_caps if kind == "vertex" else pair_caps)[i] = observed
 
     H2, irregular, comp_info = almost_regular_complete(
         H, vertex_caps, pair_caps, check_input=False
@@ -179,11 +168,6 @@ def akpss_step(
                 bucket = deg_ij.setdefault((layer, j), {})
                 bucket[v] = bucket.get(v, 0) + 1
 
-    layer_deg = {i: [0] * n for i in range(2, k + 1)}
-    for x in range(n):
-        for layer, _ in H2.incidence[x]:
-            layer_deg[layer][x] += 1
-
     thresh_factor = (1.0 + eps / 4.0) ** 2
     overflow: set[int] = set()
     z_domain = set(range(n)) - nb - sampled
@@ -191,15 +175,7 @@ def akpss_step(
         if j < 2:
             continue
         for x, value in bucket.items():
-            if x not in z_domain:
-                continue
-            mu = (
-                math.comb(i - 1, j - 1)
-                * layer_deg[i][x]
-                * p ** (i - j)
-                * math.e ** (1 - j)
-            )
-            if value > thresh_factor * mu:
+            if x in z_domain and value > thresh_factor * mu_i_to_j(H2, x, p, i, j):
                 overflow.add(x)
 
     waste = nb | overflow
@@ -299,22 +275,20 @@ def akpss_run(
             raise PreconditionFailed(
                 "input violates the short-cycle conditions", witness=report
             )
-    for i in range(2, H.k + 1):
-        cap = sched.vertex_cap(0, i)
-        observed = H.max_min_degree(i, 1)[0]
-        if observed > cap:
+    excess = cap_excess(
+        H,
+        {i: sched.vertex_cap(0, i) for i in range(2, H.k + 1)},
+        {i: sched.pair_cap(0, i) for i in range(3, H.k + 1)},
+    )
+    # layer by layer; the sort is stable, so a layer's vertex excess stays first
+    for kind, i, cap, observed in sorted(excess, key=lambda lift: lift[1]):
+        if kind == "vertex":
             msg = f"layer {i} max degree {observed} exceeds round-0 cap {cap}"
-            if sched.strict:
-                raise PreconditionFailed(msg)
-            warnings.append(msg)
-        if i >= 3:
-            pcap = sched.pair_cap(0, i)
-            pobs = H.max_min_degree(i, i - 1)[0]
-            if pobs > pcap:
-                msg = f"layer {i} max ({i - 1})-set degree {pobs} exceeds cap {pcap}"
-                if sched.strict:
-                    raise PreconditionFailed(msg)
-                warnings.append(msg)
+        else:
+            msg = f"layer {i} max ({i - 1})-set degree {observed} exceeds cap {cap}"
+        if sched.strict:
+            raise PreconditionFailed(msg)
+        warnings.append(msg)
 
     current = H
     to_original = list(range(H.n))

@@ -20,6 +20,18 @@ from ..errors import InvalidArguments, PreconditionFailed
 from ..structure import check_bouquet
 
 
+def cap_excess(
+    H: LayeredHypergraph, vertex_caps: dict[int, int], pair_caps: dict[int, int]
+) -> list[tuple[str, int, int, int]]:
+    """(kind, layer, cap, observed) for every cap H's largest degree exceeds:
+    the "vertex" caps of layers 2..k first, then the "pair" caps on (i-1)-set
+    degrees of the layers i >= 3 that pair_caps names."""
+    checks = [("vertex", i, 1, vertex_caps[i]) for i in range(2, H.k + 1)]
+    checks += [("pair", i, i - 1, pair_caps[i]) for i in range(3, H.k + 1) if i in pair_caps]
+    lifts = [(kind, i, cap, H.max_min_degree(i, ell)[0]) for kind, i, ell, cap in checks]
+    return [lift for lift in lifts if lift[3] > lift[2]]
+
+
 def almost_regular_complete(
     H: LayeredHypergraph,
     vertex_caps: dict[int, int],
@@ -47,19 +59,14 @@ def almost_regular_complete(
             raise PreconditionFailed(
                 "input violates the short-cycle conditions", witness=report
             )
-        for i in range(2, H.k + 1):
-            dmax = H.max_min_degree(i, 1)[0]
-            if dmax > vertex_caps[i]:
-                raise PreconditionFailed(
-                    f"layer {i} has a vertex of degree {dmax} above cap {vertex_caps[i]}"
-                )
-            if i >= 3 and i in pair_caps:
-                pmax = H.max_min_degree(i, i - 1)[0]
-                if pmax > pair_caps[i]:
-                    raise PreconditionFailed(
-                        f"layer {i} has an ({i - 1})-set of degree {pmax} "
-                        f"above cap {pair_caps[i]}"
-                    )
+        excess = cap_excess(H, vertex_caps, pair_caps)
+        if excess:
+            # the lowest layer's first excess: its vertex excess if it has one
+            kind, i, cap, observed = min(excess, key=lambda lift: lift[1])
+            what = "a vertex" if kind == "vertex" else f"an ({i - 1})-set"
+            raise PreconditionFailed(
+                f"layer {i} has {what} of degree {observed} above cap {cap}"
+            )
 
     H2 = H.copy()
     n = H2.n

@@ -20,8 +20,10 @@ the quantitative round guarantees are void there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
+from .core import check_integer
 from .errors import InvalidArguments, OutOfDomain, OutOfRegime
 
 __all__ = ["Schedule", "build_schedule", "reference_bound", "REFERENCE_KINDS"]
@@ -124,10 +126,14 @@ def build_schedule(N: int, T: float, k: int, strict: bool = False) -> Schedule:
 
     Raises
     ------
-    InvalidArguments : N < 1, k < 2, or T not a finite number above 1
-        (log T must be positive and finite)
+    InvalidArguments : N or k not an integer, N < 1, k < 2, or T not a
+        finite real number above 1 (log T must be positive and finite)
     OutOfRegime : strict mode and T outside [(log N)^3, N^(1/4k)]
     """
+    check_integer("N", N)
+    check_integer("k", k)
+    if isinstance(T, bool) or not isinstance(T, numbers.Real):
+        raise InvalidArguments(f"T must be a real number, got {T!r}")
     if N < 1:
         raise InvalidArguments(f"N must be positive, got {N}")
     if k < 2:

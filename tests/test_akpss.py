@@ -5,6 +5,7 @@ rounds collapse by design; the k = 2 case has single-digit caps and runs
 whole rounds end to end, which is what most tests here lean on.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import hyperind.algorithms.akpss as akpss_module
 from hyperind.algorithms import akpss_run, akpss_step, deg_i_to_j, mu_i_to_j
 from hyperind.algorithms.akpss import MAX_RETRIES
+from hyperind.algorithms.regular import almost_regular_complete
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from hyperind.generators import gen_layered_bouquet
@@ -177,10 +179,73 @@ def test_run_rejects_cycle_heavy_input():
 
 
 def test_run_rejects_nonpositive_retries():
-    H = LayeredHypergraph(100, 2)
-    for retries in (0, -1, MAX_RETRIES + 1):
+    H = LayeredHypergraph(9, 3)
+    H.add_edge((0, 1, 4))
+    H.add_edge((1, 2, 5))
+    H.add_edge((0, 2, 6))  # fails the input check, which must not run first
+    sched = build_schedule(9, math.e ** 2, 3)
+    for retries in (0, -1, MAX_RETRIES + 1, 2.5, True, "3"):
         with pytest.raises(InvalidArguments, match="retries_per_round"):
-            akpss_run(H, two_layer_sched(100), seed=1, retries_per_round=retries)
+            akpss_run(H, sched, seed=1, retries_per_round=retries)
+
+
+def two_stars(petals3):
+    """k = 4: vertex 0 in 404 layer-4 edges, vertex c in petals3 layer-3
+    edges, all otherwise disjoint.  At T = e^2 the round-0 vertex caps are
+    35, 206, 403 and the pair caps of layers 3 and 4 are 0."""
+    c = 1 + 3 * 404
+    H = LayeredHypergraph(c + 1 + 2 * petals3, 4)
+    for a in range(404):
+        H.add_edge((0, 1 + 3 * a, 2 + 3 * a, 3 + 3 * a))
+    for a in range(petals3):
+        H.add_edge((c, c + 1 + 2 * a, c + 2 + 2 * a))
+    return H
+
+
+def test_cap_excess_order_contract():
+    H = two_stars(207)  # over the vertex and the pair cap of layers 3 and 4
+    sched = build_schedule(H.n, math.e ** 2, 4)
+    assert [sched.vertex_cap(0, i) for i in (2, 3, 4)] == [35, 206, 403]
+    assert [sched.pair_cap(0, i) for i in (3, 4)] == [0, 0]
+
+    # the round's cap lifts: every vertex lift, then every pair lift
+    with pytest.raises(RoundCollapsed) as err:
+        akpss_step(H, sched, 0, stream(1, "lifts"))
+    assert err.value.state.diagnostics["cap_lifts"] == [
+        ("vertex", 3, 206, 207),
+        ("vertex", 4, 403, 404),
+        ("pair", 3, 0, 1),
+        ("pair", 4, 0, 1),
+    ]
+
+    # the round-0 audit: layer by layer, the vertex warning first
+    audit = [
+        "layer 3 max degree 207 exceeds round-0 cap 206",
+        "layer 3 max (2)-set degree 1 exceeds cap 0",
+        "layer 4 max degree 404 exceeds round-0 cap 403",
+        "layer 4 max (3)-set degree 1 exceeds cap 0",
+    ]
+    cert = akpss_run(H, sched, seed=1, retries_per_round=1)
+    assert cert.warnings[:4] == audit
+    assert cert.rounds[0]["cap_lifts"] == err.value.state.diagnostics["cap_lifts"]
+    strict = dataclasses.replace(sched, strict=True)
+    with pytest.raises(PreconditionFailed) as first:
+        akpss_run(H, strict, seed=1)
+    assert str(first.value) == audit[0]
+    # a layer-3 pair excess comes before a layer-4 vertex excess
+    H3 = two_stars(1)
+    strict3 = dataclasses.replace(build_schedule(H3.n, math.e ** 2, 4), strict=True)
+    with pytest.raises(PreconditionFailed) as first:
+        akpss_run(H3, strict3, seed=1)
+    assert str(first.value) == "layer 3 max (2)-set degree 1 exceeds cap 0"
+
+    # the completion's input check raises the first excess in layer order
+    with pytest.raises(PreconditionFailed) as first:
+        almost_regular_complete(H, {2: 35, 3: 206, 4: 403}, {3: 0, 4: 0})
+    assert str(first.value) == "layer 3 has a vertex of degree 207 above cap 206"
+    with pytest.raises(PreconditionFailed) as first:
+        almost_regular_complete(H, {2: 35, 3: 207, 4: 403}, {3: 0, 4: 0})
+    assert str(first.value) == "layer 3 has an (2)-set of degree 1 above cap 0"
 
 
 @pytest.mark.parametrize("n, seed", [(300, 1), (300, 2), (800, 3), (800, 4)])

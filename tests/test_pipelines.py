@@ -55,7 +55,7 @@ def test_uniformity_is_enforced():
 @pytest.mark.parametrize("field", ["retries", "akpss_retries"])
 def test_config_bounds_retries(field):
     PipelineConfig(**{field: MAX_RETRIES})
-    for value in (0, -3, MAX_RETRIES + 1):
+    for value in (0, -3, MAX_RETRIES + 1, 2.5, True, "3"):
         with pytest.raises(InvalidArguments, match=field):
             PipelineConfig(**{field: value})
 
@@ -187,6 +187,17 @@ def test_degree_gap_case1_forbidden_gap():
         config=PipelineConfig(trust_preconditions=True),
     )
     assert cert.verified
+
+
+def test_degree_gap_witness_is_first_gap_set_in_edge_order():
+    H = LayeredHypergraph(50, 4)
+    for x in range(11):
+        H.add_edge((3, 4, 5, 10 + x))  # both triples have degree 11, in the gap
+    for x in range(11):
+        H.add_edge((0, 1, 2, 21 + x))
+    with pytest.raises(PreconditionFailed) as err:
+        pipeline_degree_gap(H, 1.0, 1, seed=2, epsilon=1 / 16)
+    assert err.value.witness == (3, 4, 5)  # not the least gap set, (0, 1, 2)
 
 
 def test_degree_gap_case2_rejects_clean_four():

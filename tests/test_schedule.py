@@ -106,6 +106,9 @@ def test_build_schedule_argument_checks():
     for T in (math.inf, math.nan, -math.inf):
         with pytest.raises(InvalidArguments):
             build_schedule(10, T, 3)
+    for N, T, k in ((True, 9.0, 3), (10.5, 9.0, 3), (10, 9.0, 2.5), (10, "5", 3), (10, True, 3)):
+        with pytest.raises(InvalidArguments):
+            build_schedule(N, T, k)
 
 
 def test_to_dict_round_trips_fields():
