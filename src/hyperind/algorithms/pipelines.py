@@ -10,13 +10,13 @@ original input, whatever happened on the way.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from ..core import LayeredHypergraph
+from ..core import LayeredHypergraph, subset_runs
 from ..errors import (
     InvalidArguments,
     PreconditionFailed,
@@ -51,6 +51,12 @@ class PipelineConfig:
 
 # vertices dropped per pruning pass; the residue replays in the tests assume it
 _PRUNE_BATCH = 512
+
+
+def _check_real(name: str, value) -> None:
+    """InvalidArguments unless ``value`` is a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidArguments(f"{name} must be a finite real number, got {value!r}")
 
 
 def _uniform_k(H: LayeredHypergraph) -> int:
@@ -90,20 +96,18 @@ def _degrees_within(H: LayeredHypergraph, U: set[int]) -> dict[int, dict[int, in
     return out
 
 
-def _heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, Counter]:
+def _heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, np.ndarray]:
     """(heavy (k-1)-sets of degree >= cut, sorted; the edges containing none
-    of them; the degree of every (k-1)-set inside an edge) of a k-uniform H."""
-    sub_deg: Counter = Counter()
-    for _, e in H.edges():
-        sub_deg.update(combinations(e, H.k - 1))
-    heavy = sorted(s for s, c in sub_deg.items() if c >= cut)
-    heavy_set = set(heavy)
-    light = [
-        e
-        for _, e in H.edges()
-        if not any(s in heavy_set for s in combinations(e, H.k - 1))
-    ]
-    return heavy, light, sub_deg
+    of them; per edge, the degrees of its (k-1)-subsets in ``combinations``
+    order), edges in edge order, of a k-uniform H."""
+    edges = H.layers[H.k]
+    subsets, order, bounds = subset_runs([edges], H.k - 1)
+    runs = np.diff(bounds)
+    deg = np.empty((len(edges), H.k), dtype=np.int64)  # C(k, k-1) = k subsets an edge
+    deg.flat[order] = np.repeat(runs, runs)
+    heavy = [tuple(s) for s in subsets[bounds[:-1][runs >= cut]].tolist()]
+    light = [e for e, hit in zip(edges, (deg >= cut).any(axis=1).tolist()) if not hit]
+    return heavy, light, deg
 
 
 def _residue(G, seed, label, attempt, p, degree_filter, trim_target, **prune):
@@ -143,6 +147,7 @@ def pipeline_kminus2(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
+    _check_real("d", d)
     if d <= 0:
         raise InvalidArguments("d must be positive")
     n = H.n
@@ -198,16 +203,15 @@ def pipeline_kminus2(
 
         heavy, light, _ = _heavy_light(res, theta)
         G = LayeredHypergraph(m, k)
-        for e in heavy + light:
-            G.add_edge(e)
+        G._extend_layer(k - 1, heavy)
+        G._extend_layer(k, light)
 
         final = _map_back(
             H, order, greedy_set(G), "split residue produced a spanned edge"
         )
 
         g2only = LayeredHypergraph(m, k)
-        for e in light:
-            g2only.add_edge(e)
+        g2only._extend_layer(k, light)
         split_checks = _split_hypotheses(G, g2only, m, k, beta, heavy)
         diag.update(
             {
@@ -293,6 +297,9 @@ def pipeline_degree_gap(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
+    _check_real("d", d)
+    if epsilon is not None:
+        _check_real("epsilon", epsilon)
     if d <= 0:
         raise InvalidArguments("d must be positive")
     if case not in (1, 2):
@@ -317,7 +324,7 @@ def pipeline_degree_gap(
         eps_eff = None
 
     heavy_cut = n ** ((k - 2) / (k - 1)) * d ** (1 / (k - 1))
-    heavy, light, sub_deg = _heavy_light(H, heavy_cut)
+    heavy, light, deg = _heavy_light(H, heavy_cut)
 
     if not cfg.trust_preconditions:
         _check_kminus2_degree(H, k, d)
@@ -325,19 +332,20 @@ def pipeline_degree_gap(
             gap_lo = n ** ((k - 2) / (k - 1) - eps_eff) * d ** (1 / (k - 1) + eps_eff)
         else:
             gap_lo = heavy_cut / math.log(ratio) ** (k + 1)
-        for s, c in sub_deg.items():
-            if gap_lo < c < heavy_cut:
-                raise PreconditionFailed(
-                    f"({k - 1})-set degree {c} falls in the forbidden gap "
-                    f"({gap_lo:.4f}, {heavy_cut:.4f})",
-                    witness=s,
-                )
+        gap = np.flatnonzero((gap_lo < deg) & (deg < heavy_cut))  # in edge order
+        if len(gap):
+            e, c = divmod(int(gap[0]), k)
+            raise PreconditionFailed(
+                f"({k - 1})-set degree {deg[e, c]} falls in the forbidden gap "
+                f"({gap_lo:.4f}, {heavy_cut:.4f})",
+                witness=list(combinations(H.layers[k][e], k - 1))[c],
+            )
         if case == 2 and find_clean_four_cycles(H, limit=1):
             raise PreconditionFailed("case 2 needs a clean-4-free input")
 
     HH = LayeredHypergraph(n, k)
-    for e in heavy + light:
-        HH.add_edge(e)
+    HH._extend_layer(k - 1, heavy)
+    HH._extend_layer(k, light)
 
     p = min(1.0, n ** (delta - (k - 2) / (k - 1)) * d ** (-delta - 1 / (k - 1)))
     trim_target = int(0.5 * ratio ** (1 / (k - 1) + delta))
@@ -395,6 +403,8 @@ def pipeline_graded_caps(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
+    _check_real("t", t)
+    _check_real("epsilon", epsilon)
     if t <= 1:
         raise InvalidArguments(f"needs t > 1, got {t}")
     if epsilon <= 0:

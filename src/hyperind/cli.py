@@ -27,6 +27,12 @@ from .structure import (
     list_two_cycles,
 )
 
+STRICT_HELP = (
+    "reject (exit 2) a schedule outside (log N)^3 <= T <= N^(1/4k); with a round that needs"
+    " N of about 10^49.4 at k=2 (10^82 at k=3), so at desk scale it exits 2 whenever"
+    " the run would have a round"
+)
+
 
 def _cmd_gen(args) -> int:
     params = checked_params(GENERATORS, args.kind, vars(args), flags=True)
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--strict", action="store_true")
+    s.add_argument("--strict", action="store_true", help=STRICT_HELP)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=_cmd_schedule)
 
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--t", type=float, help="degree scale (appB)")
     so.add_argument("--epsilon", type=float, help="gap parameter (appA case 1, appB)")
     so.add_argument("--case", type=int, default=1, choices=(1, 2), help="appA case")
-    so.add_argument("--strict", action="store_true")
+    so.add_argument("--strict", action="store_true", help=STRICT_HELP)
     so.add_argument(
         "--trust", dest="trust_preconditions", action="store_true", help="skip input checks"
     )

@@ -34,6 +34,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidArguments, InvalidUniformity, InvalidVertex, ParseError
 
 __all__ = [
@@ -88,6 +90,25 @@ def _vertex_ids(vertices, n: int) -> set:
         if type(v) is not int or not (0 <= v < n):
             _as_vertex(v, n)
     return ids
+
+
+def subset_runs(layers, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted rows, their stacking order, run bounds) of the ell-subsets
+    (ell >= 1) of the edges in ``layers``, lists of sorted edges of one size
+    each: rows stacked edge after edge in ``combinations`` order, then one
+    stable ``np.lexsort``.  Run j, rows bounds[j]:bounds[j+1], is one subset
+    and its owners in stacking order; ``np.diff(bounds)`` are the degrees."""
+    blocks = [np.empty((0, ell), dtype=np.int64)]
+    for edges in layers:
+        if edges:
+            cols = list(itertools.combinations(range(len(edges[0])), ell))
+            blocks.append(np.array(edges, dtype=np.int64)[:, cols].reshape(-1, ell))
+    subsets = np.concatenate(blocks)
+    order = np.lexsort(subsets.T[::-1])
+    subsets = subsets[order]
+    starts = np.ones(len(subsets), dtype=bool)
+    starts[1:] = (subsets[1:] != subsets[:-1]).any(axis=1)
+    return subsets, order, np.append(np.flatnonzero(starts), len(subsets))
 
 
 class LayeredHypergraph:
@@ -254,8 +275,11 @@ class LayeredHypergraph:
 
         Raises
         ------
-        InvalidArguments : layer outside 2..k or ell not in 0..layer-1
+        InvalidArguments : layer or ell not an integer, layer outside 2..k
+            or ell not in 0..layer-1
         """
+        check_integer("layer", layer)
+        check_integer("ell", ell)
         if layer not in self.layers:
             raise InvalidArguments(f"layer {layer} outside 2..{self.k}")
         if not (0 <= ell < layer):
@@ -266,14 +290,9 @@ class LayeredHypergraph:
         if ell == 0:
             m = len(edges)
             return (m, m)
-        counts: dict[Edge, int] = {}
-        for e in edges:
-            for sub in itertools.combinations(e, ell):
-                counts[sub] = counts.get(sub, 0) + 1
-        dmax = max(counts.values())
-        total_subsets = math.comb(self.n, ell)
-        dmin = min(counts.values()) if len(counts) == total_subsets else 0
-        return (dmax, dmin)
+        counts = np.diff(subset_runs([edges], ell)[2])
+        covered = len(counts) == math.comb(self.n, ell)  # every ell-subset lies in an edge
+        return (int(counts.max()), int(counts.min()) if covered else 0)
 
     def link(self, x: int) -> list[tuple[int, Edge]]:
         """Residues e \\ {x} of the edges through x, tagged with their layer.

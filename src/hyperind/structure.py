@@ -24,22 +24,25 @@ A strengthened form of v) for every uniformity (the v' pattern,
 Every detector is a lazy stream of witnesses in a fixed order, read in one
 way (``_take``).  The (2,l)-cycle streams are built on the shared-subset
 index (``_shared_buckets``), which holds only the l-subsets lying in two or
-more edges; ``check_bouquet``, the linear 3-cycle scan and the v' scan need
-every covered pair and use ``_buckets``.  A ``limit`` argument reads a
-prefix of a stream: ``None`` means every witness, ``0`` none, and a negative
-or non-integer limit raises InvalidArguments.
+more edges; it is built on the runs of ``core.subset_runs``, the one count
+of l-subsets of edges, as is ``common_neighbor_max``.  ``check_bouquet``,
+the linear 3-cycle scan and the v' scan need every covered pair and use
+``_buckets``.  A ``limit`` argument reads a prefix of a stream: ``None``
+means every witness, ``0`` none, and a negative or non-integer limit raises
+InvalidArguments.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LayeredHypergraph, check_integer
+from .core import LayeredHypergraph, check_integer, subset_runs
 from .errors import InvalidArguments
 
 __all__ = [
@@ -135,29 +138,18 @@ def _shared_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]
     """vertex ell-subset -> the (layer, edge) keys of H containing it, for the
     subsets lying in two or more edges; entries and keys as in ``_buckets``.
 
-    The ell-subsets of every edge are stacked as the rows of one array and
-    ordered by one stable ``np.lexsort``, so equal subsets form runs whose
-    owners keep ``H.edges()`` order; only runs of two or more become
-    buckets.
+    The runs of ``subset_runs`` over the layers of at least ell keep their
+    owners in ``H.edges()`` order; only runs of two or more become buckets.
     """
     keys = list(H.edges())
-    rows, owners = [], []
+    owners = [np.empty(0, dtype=np.int64)]  # no layer reaches an ell above k
     first = 0  # rank in ``keys`` of the layer's first edge
     for i in range(2, H.k + 1):
-        edges = H.layers[i]
-        if edges and i >= ell:
-            cols = list(itertools.combinations(range(i), ell))
-            rows.append(np.array(edges, dtype=np.int64)[:, cols].reshape(-1, ell))
-            owners.append(np.repeat(np.arange(first, first + len(edges)), len(cols)))
-        first += len(edges)
-    if not rows:
-        return {}
-    subsets = np.concatenate(rows)
-    order = np.lexsort(subsets.T[::-1])
-    subsets = subsets[order]
+        if i >= ell:
+            owners.append(np.repeat(np.arange(first, first + len(H.layers[i])), math.comb(i, ell)))
+        first += len(H.layers[i])
+    subsets, order, bounds = subset_runs([H.layers[i] for i in range(ell, H.k + 1)], ell)
     owner = np.concatenate(owners)[order].tolist()
-    # run boundaries: every row that differs from the one before it, and the end
-    bounds = np.flatnonzero(np.concatenate(([True], (subsets[1:] != subsets[:-1]).any(axis=1), [True])))
     shared = np.flatnonzero(np.diff(bounds) >= 2)
     starts, ends = bounds[shared], bounds[shared + 1]
     return {
@@ -617,25 +609,20 @@ def common_neighbor_max(H: LayeredHypergraph, layer: int | None = None) -> int:
         if len(nonempty) > 1:
             raise InvalidArguments(f"multiple nonempty layers {nonempty}; pass layer explicitly")
         layer = nonempty[0]
+    check_integer("layer", layer)
     if layer not in H.layers:
         raise InvalidArguments(f"layer {layer} outside 2..{H.k}")
-    completions: dict[Edge, list[int]] = {}
-    for e in sorted(set(H.layers[layer])):
-        for x in e:
-            rest = tuple(v for v in e if v != x)
-            completions.setdefault(rest, []).append(x)
-    pair_counts: dict[tuple[int, int], int] = {}
-    best = 0
-    for rest in sorted(completions):
-        ext = sorted(completions[rest])
-        if len(ext) < 2:
-            continue
-        for x, y in itertools.combinations(ext, 2):
-            count = pair_counts.get((x, y), 0) + 1
-            pair_counts[(x, y)] = count
-            if count > best:
-                best = count
-    return best
+    edges = H.layers[layer]
+    _, order, bounds = subset_runs([edges], layer - 1)
+    # a run's completions: the c-th (i-1)-subset of an edge omits vertex i-1-c
+    completion = np.array(edges, dtype=np.int64).reshape(-1, layer)[:, ::-1].ravel()[order].tolist()
+    # completion sets of two or more, grouped by size; their equal pairs form runs
+    by_size: dict[int, list[Edge]] = {}
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b - a >= 2:
+            by_size.setdefault(b - a, []).append(tuple(sorted(completion[a:b])))
+    pair_runs = np.diff(subset_runs(by_size.values(), 2)[2])
+    return int(pair_runs.max()) if len(pair_runs) else 0
 
 
 def prune_short_cycles(

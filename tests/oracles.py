@@ -9,14 +9,18 @@ these on random instances with n <= 14.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
+from itertools import combinations
 
 from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex
-from hyperind.errors import InvalidArguments, InvalidVertex
+from hyperind.errors import InvalidArguments, InvalidVertex, PreconditionFailed
 from hyperind.structure import (
     BouquetReport,
     CycleWitness,
     _inter_size,
     _orient_clean_cycle,
+    find_clean_four_cycles,
 )
 
 EdgeKey = tuple[int, tuple[int, ...]]
@@ -230,6 +234,35 @@ def random_layered(rng, n: int, k: int, edges: int) -> LayeredHypergraph:
         size = int(rng.integers(2, k + 1))
         e = rng.choice(n, size=size, replace=False)
         H.add_edge(tuple(int(v) for v in e))
+    return H
+
+
+def random_count_graph(rng, k: int) -> LayeredHypergraph:
+    """Random mixed-layer instance for the l-subset count replays.
+
+    Half the time a sparse graph on up to 15 vertices with up to three
+    planted sunflowers: a (k-1)-set in layer k with up to n-k+1 petals, so
+    some (k-1)-sets have a high degree.  Otherwise k to k+2 vertices, each
+    layer left empty one time in five or holding about 90 % of all its
+    sets, so every l-subset of the vertex set is usually covered and the
+    min degree is above 0.
+    """
+    if rng.random() < 0.5:
+        n = int(rng.integers(k + 1, 16))
+        H = random_layered(rng, n=n, k=k, edges=int(rng.integers(0, 3 * n)))
+        for _ in range(int(rng.integers(0, 4))):
+            core = [int(v) for v in rng.choice(n, size=k - 1, replace=False)]
+            for x in rng.permutation(n)[: int(rng.integers(1, n))].tolist():
+                if x not in core:
+                    H.add_edge((*core, x))
+        return H
+    n = int(rng.integers(k, k + 3))
+    H = LayeredHypergraph(n, k)
+    for i in range(2, k + 1):
+        if rng.random() < 0.8:
+            for e in itertools.combinations(range(n), i):
+                if rng.random() < 0.9:
+                    H.add_edge(e)
     return H
 
 
@@ -1009,3 +1042,132 @@ def replay_contract(H: LayeredHypergraph, vstar) -> tuple[MultiEdgeBag, LayeredH
     for ce in sorted(kept, key=lambda e: (len(e), e)):
         cleaned.add_edge(ce)
     return bag, cleaned
+
+
+# -- the l-subset counts before they shared one count in core ------------------
+#
+# Verbatim copies, renamed: ``LayeredHypergraph.max_min_degree``'s dict loop,
+# the pipelines' ``_heavy_light`` with the forbidden-gap loop and graph build
+# of ``pipeline_degree_gap``, and ``common_neighbor_max``, as they were before
+# all of them read the runs of ``core.subset_runs``.
+
+
+def replay_max_min_degree(H: LayeredHypergraph, layer: int, ell: int) -> tuple[int, int]:
+    """(max, min) degree over ell-subsets within one layer.
+
+    The max ranges over ell-subsets of edges (any uncovered subset has
+    degree 0, so this loses nothing).  The min ranges over *all*
+    ell-subsets of the vertex set, hence is 0 as soon as some ell-subset
+    lies in no edge.  An empty layer reports (0, 0).
+
+    Raises
+    ------
+    InvalidArguments : layer outside 2..k or ell not in 0..layer-1
+    """
+    if layer not in H.layers:
+        raise InvalidArguments(f"layer {layer} outside 2..{H.k}")
+    if not (0 <= ell < layer):
+        raise InvalidArguments(f"ell={ell} must satisfy 0 <= ell < {layer}")
+    edges = H.layers[layer]
+    if not edges:
+        return (0, 0)
+    if ell == 0:
+        m = len(edges)
+        return (m, m)
+    counts: dict[Edge, int] = {}
+    for e in edges:
+        for sub in itertools.combinations(e, ell):
+            counts[sub] = counts.get(sub, 0) + 1
+    dmax = max(counts.values())
+    total_subsets = math.comb(H.n, ell)
+    dmin = min(counts.values()) if len(counts) == total_subsets else 0
+    return (dmax, dmin)
+
+
+def replay_heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, Counter]:
+    """(heavy (k-1)-sets of degree >= cut, sorted; the edges containing none
+    of them; the degree of every (k-1)-set inside an edge) of a k-uniform H."""
+    sub_deg: Counter = Counter()
+    for _, e in H.edges():
+        sub_deg.update(combinations(e, H.k - 1))
+    heavy = sorted(s for s, c in sub_deg.items() if c >= cut)
+    heavy_set = set(heavy)
+    light = [
+        e
+        for _, e in H.edges()
+        if not any(s in heavy_set for s in combinations(e, H.k - 1))
+    ]
+    return heavy, light, sub_deg
+
+
+def replay_degree_gap_split(H: LayeredHypergraph, d: float, case: int, epsilon: float | None = None) -> LayeredHypergraph:
+    """``pipeline_degree_gap`` from its heavy/light split to the graph HH the
+    rounds start from, under the default config: the (k-2)-degree check, the
+    forbidden-gap check and (case 2) the clean-4 check raise as they did."""
+    k = H.k
+    n = H.n
+    ratio = n / d
+    eps_eff = min(epsilon, 1 / (4 * k)) if case == 1 else None
+
+    heavy_cut = n ** ((k - 2) / (k - 1)) * d ** (1 / (k - 1))
+    heavy, light, sub_deg = replay_heavy_light(H, heavy_cut)
+
+    observed = replay_max_min_degree(H, k, k - 2)[0]
+    if observed > d * H.n:
+        raise PreconditionFailed(
+            f"max ({k - 2})-set degree {observed} exceeds d*n = {d * H.n:.3f}"
+        )
+    if case == 1:
+        gap_lo = n ** ((k - 2) / (k - 1) - eps_eff) * d ** (1 / (k - 1) + eps_eff)
+    else:
+        gap_lo = heavy_cut / math.log(ratio) ** (k + 1)
+    for s, c in sub_deg.items():
+        if gap_lo < c < heavy_cut:
+            raise PreconditionFailed(
+                f"({k - 1})-set degree {c} falls in the forbidden gap "
+                f"({gap_lo:.4f}, {heavy_cut:.4f})",
+                witness=s,
+            )
+    if case == 2 and find_clean_four_cycles(H, limit=1):
+        raise PreconditionFailed("case 2 needs a clean-4-free input")
+
+    HH = LayeredHypergraph(n, k)
+    for e in heavy + light:
+        HH.add_edge(e)
+    return HH
+
+
+def replay_common_neighbor_max(H: LayeredHypergraph, layer: int | None = None) -> int:
+    """Largest number of common completions shared by two vertices.
+
+    For a single layer of i-uniform edges this is the maximum over vertex
+    pairs x != y of the number of (i-1)-sets S with S + {x} and S + {y} both
+    edges.  With ``layer`` omitted, the sole nonempty layer is used; an
+    edgeless hypergraph reports 0.
+    """
+    if layer is None:
+        nonempty = [i for i in range(2, H.k + 1) if H.layers[i]]
+        if not nonempty:
+            return 0
+        if len(nonempty) > 1:
+            raise InvalidArguments(f"multiple nonempty layers {nonempty}; pass layer explicitly")
+        layer = nonempty[0]
+    if layer not in H.layers:
+        raise InvalidArguments(f"layer {layer} outside 2..{H.k}")
+    completions: dict[Edge, list[int]] = {}
+    for e in sorted(set(H.layers[layer])):
+        for x in e:
+            rest = tuple(v for v in e if v != x)
+            completions.setdefault(rest, []).append(x)
+    pair_counts: dict[tuple[int, int], int] = {}
+    best = 0
+    for rest in sorted(completions):
+        ext = sorted(completions[rest])
+        if len(ext) < 2:
+            continue
+        for x, y in itertools.combinations(ext, 2):
+            count = pair_counts.get((x, y), 0) + 1
+            pair_counts[(x, y)] = count
+            if count > best:
+                best = count
+    return best

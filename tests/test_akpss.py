@@ -6,6 +6,7 @@ whole rounds end to end, which is what most tests here lean on.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -228,6 +229,7 @@ def test_cap_excess_order_contract():
     cert = akpss_run(H, sched, seed=1, retries_per_round=1)
     assert cert.warnings[:4] == audit
     assert cert.rounds[0]["cap_lifts"] == err.value.state.diagnostics["cap_lifts"]
+    json.dumps(cert.to_dict())  # the observed degrees are Python ints
     strict = dataclasses.replace(sched, strict=True)
     with pytest.raises(PreconditionFailed) as first:
         akpss_run(H, strict, seed=1)

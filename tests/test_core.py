@@ -21,7 +21,14 @@ from hyperind.errors import (
 )
 from hyperind.rng import stream
 
-from oracles import brute_deg, brute_max_min_degree, random_layered, replay_contract
+from oracles import (
+    brute_deg,
+    brute_max_min_degree,
+    random_count_graph,
+    random_layered,
+    replay_contract,
+    replay_max_min_degree,
+)
 
 
 def small_graph():
@@ -139,12 +146,25 @@ def test_max_min_degree_matches_brute_force(seed):
             assert H.max_min_degree(layer, ell) == brute_max_min_degree(H, layer, ell)
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_max_min_degree_matches_dict_loop_replay(seed, k):
+    # the dict loop before the one subset count in core: equal (max, min),
+    # as Python ints, on empty layers and fully covered vertex sets too
+    H = random_count_graph(stream(seed, "core-mmd-replay", k), k)
+    for layer in range(2, k + 1):
+        for ell in range(layer):
+            got = H.max_min_degree(layer, ell)
+            assert got == replay_max_min_degree(H, layer, ell)
+            assert [type(x) for x in got] == [int, int]
+
+
 def test_max_min_degree_argument_checks():
     H = small_graph()
-    with pytest.raises(InvalidArguments):
-        H.max_min_degree(5, 1)
-    with pytest.raises(InvalidArguments):
-        H.max_min_degree(3, 3)
+    for layer, ell in ((5, 1), (3, 3), (4, 1.0), (4, True), (4.0, 2), (True, 1), (4, "1")):
+        with pytest.raises(InvalidArguments):
+            H.max_min_degree(layer, ell)
+    assert H.max_min_degree(np.int64(4), np.int64(1)) == H.max_min_degree(4, 1) == (1, 0)
 
 
 def test_link_and_neighborhoods():

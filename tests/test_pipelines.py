@@ -6,14 +6,17 @@ greedy finisher; all the structural acceptance rules still fire for real.
 """
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperind.algorithms import (
     PipelineConfig,
     pipeline_degree_gap,
     pipeline_graded_caps,
     pipeline_kminus2,
+    pipelines,
 )
 from hyperind.algorithms.akpss import MAX_RETRIES
 from hyperind.core import LayeredHypergraph
@@ -24,8 +27,11 @@ from hyperind.structure import check_bouquet, count_two_cycles
 
 from oracles import (
     brute_common_neighbor_max,
+    random_count_graph,
     replay_degree_gap_residue,
+    replay_degree_gap_split,
     replay_graded_caps_residue,
+    replay_heavy_light,
     replay_kminus2_residue,
 )
 
@@ -50,6 +56,27 @@ def test_uniformity_is_enforced():
     ):
         with pytest.raises(InvalidArguments):
             fn(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True])
+def test_real_parameters_are_checked_before_any_work(monkeypatch, bad):
+    H = gnp4(100, 10, seed=3)
+
+    def work(*args):
+        raise AssertionError("work started before the argument checks")
+
+    monkeypatch.setattr(LayeredHypergraph, "max_min_degree", work)
+    monkeypatch.setattr(pipelines, "_heavy_light", work)
+    for fn, args, kwargs in (
+        (pipeline_kminus2, (H, bad, 1), {}),
+        (pipeline_degree_gap, (H, bad, 1, 1), {"epsilon": 0.1}),
+        (pipeline_degree_gap, (H, 4.0, 1, 1), {"epsilon": bad}),
+        (pipeline_degree_gap, (H, 4.0, 2, 1), {"epsilon": bad}),
+        (pipeline_graded_caps, (H, bad, 1, 0.5), {}),
+        (pipeline_graded_caps, (H, 3.0, 1, bad), {}),
+    ):
+        with pytest.raises(InvalidArguments, match="must be a finite real number"):
+            fn(*args, **kwargs)
 
 
 @pytest.mark.parametrize("field", ["retries", "akpss_retries"])
@@ -198,6 +225,64 @@ def test_degree_gap_witness_is_first_gap_set_in_edge_order():
     with pytest.raises(PreconditionFailed) as err:
         pipeline_degree_gap(H, 1.0, 1, seed=2, epsilon=1 / 16)
     assert err.value.witness == (3, 4, 5)  # not the least gap set, (0, 1, 2)
+
+
+class _Rounds(Exception):
+    """Raised in place of the semi-random rounds, with the graph they get."""
+
+
+def _degree_gap_split(H, d, case, epsilon):
+    """``pipeline_degree_gap`` up to its rounds: the graph HH they start from."""
+
+    def rounds(H, HH, *args, **kwargs):
+        raise _Rounds(HH)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipelines, "_rounds_on_residue", rounds)
+        try:
+            pipeline_degree_gap(H, d, case, seed=1, epsilon=epsilon)
+        except _Rounds as reached:
+            return reached.args[0]
+    raise AssertionError("the pipeline returned without reaching its rounds")
+
+
+def _split_outcome(split):
+    try:
+        HH = split()
+    except PreconditionFailed as exc:
+        return ("failed", str(exc), exc.witness)
+    return ("split", HH.layers, HH.incidence)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=200, deadline=None)
+def test_heavy_light_and_gap_match_counter_replay(seed, k):
+    # the Counter, its second combinations pass and the forbidden-gap loop
+    # before the one subset count in core: equal heavy and light lists, the
+    # light edges in edge order, equal degrees, and (k >= 4) the same gap
+    # witness and message, or the same graph for the rounds
+    rng = stream(seed, "pipe-heavy-light", k)
+    G = random_count_graph(rng, k)
+    H = LayeredHypergraph(G.n, k)  # its top layer: the pipelines take k-uniform inputs
+    for e in G.layers[k]:
+        H.add_edge(e)
+    cut = float(rng.uniform(0.5, 8.0))
+    heavy, light, deg = pipelines._heavy_light(H, cut)
+    heavy0, light0, sub_deg = replay_heavy_light(H, cut)
+    assert heavy == heavy0
+    assert light == light0
+    assert all(type(v) is int for s in heavy for v in s)
+    assert deg.tolist() == [[sub_deg[s] for s in combinations(e, k - 1)] for e in H.layers[k]]
+    if k < 4:
+        return
+    # d near the (k-2)-degree over n, where heavy sets, gaps and passes all occur
+    m2 = max(H.max_min_degree(k, k - 2)[0], 1)
+    d = min(m2 / H.n * float(rng.uniform(0.7, 4.0)), 0.95 * H.n)
+    case = int(rng.integers(1, 3))
+    epsilon = float(rng.uniform(0.01, 0.5))
+    assert _split_outcome(lambda: _degree_gap_split(H, d, case, epsilon)) == _split_outcome(
+        lambda: replay_degree_gap_split(H, d, case, epsilon)
+    )
 
 
 def test_degree_gap_case2_rejects_clean_four():

@@ -31,8 +31,10 @@ from oracles import (
     brute_linear_three,
     brute_two_cycles,
     brute_vprime,
+    random_count_graph,
     replay_check_bouquet,
     replay_check_property_vprime,
+    replay_common_neighbor_max,
     replay_find_clean_four_cycles,
     replay_find_linear_three_cycles,
     replay_layered_bouquet,
@@ -462,6 +464,17 @@ def test_common_neighbor_max_matches_oracle(seed):
     assert common_neighbor_max(H, 3) == brute_common_neighbor_max(H, 3)
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_common_neighbor_max_matches_dict_replay(seed, k):
+    # the completion and pair dicts before the one subset count in core
+    H = random_count_graph(stream(seed, "struct-gamma-replay", k), k)
+    for layer in range(2, k + 1):
+        got = common_neighbor_max(H, layer)
+        assert got == replay_common_neighbor_max(H, layer)
+        assert type(got) is int
+
+
 # -- classification ------------------------------------------------------------
 
 
@@ -528,6 +541,9 @@ def test_common_neighbor_max_layer_handling():
     with pytest.raises(InvalidArguments):
         common_neighbor_max(H)
     assert common_neighbor_max(H, 3) == 1
+    for layer in (3.0, True, "3", 4):
+        with pytest.raises(InvalidArguments):
+            common_neighbor_max(H, layer)
 
 
 # -- pruning -------------------------------------------------------------------
