@@ -3,7 +3,8 @@
 gen_gnp draws each k-set independently; gen_girth5 layers strict cycle
 pruning on top of it; gen_disjoint_cliques has a closed-form optimum for
 calibration; gen_layered_bouquet grows a multi-layer instance edge by edge
-under the structural conditions.
+under the structural conditions, testing each candidate against the edges
+it would share a forbidden set with before adding it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .core import LayeredHypergraph, check_integer
 from .errors import InvalidArguments
 from .structure import (
+    _closes_violation,
     check_bouquet,
-    check_bouquet_around,
     check_limit,
     find_clean_four_cycles,
     find_linear_three_cycles,
@@ -234,30 +235,37 @@ def gen_layered_bouquet(
     structural conditions after every addition.
 
     counts[i] asks for that many edges of size i; vertex_caps[i], when
-    given, additionally bounds per-vertex degrees per layer.  Additions
-    that break anything are rolled back; after max_stall consecutive
-    rejections in a layer the generator gives up on it and reports the
-    shortfall instead of looping forever.
+    given, additionally bounds per-vertex degrees per layer.  Both take
+    layers in 2..k and nonnegative integers.  A candidate that is already
+    an edge, would exceed a cap or would break a condition is skipped
+    before anything is added; after max_stall (an integer of at least 1)
+    consecutive misses in a layer the generator gives up on it and reports
+    the shortfall instead of looping forever.
 
-    Each candidate is checked only within its radius-2 ball
-    (``check_bouquet_around``).  That decides exactly as a whole-graph
-    ``check_bouquet`` would, because the graph is clean before the
-    candidate is added, so any violation has to go through the candidate.
+    Each candidate is tested against the edges around it only
+    (``_closes_violation``).  That decides exactly as a whole-graph
+    ``check_bouquet`` of the graph with the candidate would, because the
+    graph is clean before the candidate comes, so any violation has to go
+    through the candidate.
     """
     check_integer("n", n)
     check_integer("k", k)
     if k < 2:
         raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    for i, target in counts.items():
-        check_integer("layer", i)
-        if not (2 <= i <= k):
-            raise InvalidArguments(f"layer {i} outside 2..{k}")
-        check_integer(f"counts[{i}]", target)
-        if target < 0:
-            raise InvalidArguments(f"counts[{i}] must be nonnegative")
     vertex_caps = dict(vertex_caps or {})
-    for i, cap in vertex_caps.items():
-        check_integer(f"vertex_caps[{i}]", cap)
+    for name, table in (("counts", counts), ("vertex_caps", vertex_caps)):
+        for i, value in table.items():
+            check_integer(f"{name} layer", i)
+            if not (2 <= i <= k):
+                raise InvalidArguments(f"{name} layer {i} outside 2..{k}")
+            check_integer(f"{name}[{i}]", value)
+            if value < 0:
+                raise InvalidArguments(f"{name}[{i}] must be nonnegative")
+    # no None: without a stall limit a layer that cannot reach its target
+    # would never end
+    check_integer("max_stall", max_stall)
+    if max_stall < 1:
+        raise InvalidArguments(f"max_stall must be at least 1, got {max_stall}")
     H = LayeredHypergraph(n, k)
     achieved = {i: 0 for i in sorted(counts)}
     stalled: list[int] = []
@@ -273,20 +281,18 @@ def gen_layered_bouquet(
         misses = 0
         while achieved[i] < target and misses < max_stall:
             e = tuple(sorted(int(v) for v in rng.choice(n, size=i, replace=False)))
-            if cap is not None and any(deg[i][v] >= cap for v in e):
+            if (
+                (cap is not None and any(deg[i][v] >= cap for v in e))
+                or H.has_edge(e)
+                or _closes_violation(H, e)
+            ):
                 misses += 1
                 continue
-            if not H.add_edge(e):
-                misses += 1
-                continue
-            if check_bouquet_around(H, e).holds:
-                achieved[i] += 1
-                misses = 0
-                for v in e:
-                    deg[i][v] += 1
-            else:
-                H.pop_edge(i)
-                misses += 1
+            H.add_edge(e)
+            achieved[i] += 1
+            misses = 0
+            for v in e:
+                deg[i][v] += 1
         if achieved[i] < target:
             stalled.append(i)
 

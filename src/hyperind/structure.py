@@ -27,9 +27,10 @@ index (``_shared_buckets``), which holds only the l-subsets lying in two or
 more edges; it is built on the runs of ``core.subset_runs``, the one count
 of l-subsets of edges, as is ``common_neighbor_max``.  ``check_bouquet``,
 the linear 3-cycle scan and the v' scan need every covered pair and use
-``_buckets``.  A ``limit`` argument reads a prefix of a stream: ``None``
-means every witness, ``0`` none, and a negative or non-integer limit raises
-InvalidArguments.
+``_buckets``.  ``_closes_violation`` decides one candidate edge against a
+clean graph from its incidence lists alone, with no index.  A ``limit``
+argument reads a prefix of a stream: ``None`` means every witness, ``0``
+none, and a negative or non-integer limit raises InvalidArguments.
 """
 
 from __future__ import annotations
@@ -456,6 +457,10 @@ def check_bouquet_around(H: LayeredHypergraph, edge) -> BouquetReport:
     a clean 4-cycle meets a partner.  The restricted check then sees exactly
     the forbidden sets of the whole graph, so it gives the same report as
     ``check_bouquet(H)``.  Without that precondition it may miss violations.
+
+    This is the local report, with witnesses; a yes-or-no answer for a
+    candidate edge comes cheaper from ``_closes_violation``, which the
+    tests hold to this report.
     """
     ball = sorted(H.neighborhood(edge, 2))
     old_to_new = {v: i for i, v in enumerate(ball)}
@@ -474,6 +479,71 @@ def check_bouquet_around(H: LayeredHypergraph, edge) -> BouquetReport:
         w.edges = [(layer, tuple(ball[v] for v in e)) for layer, e in w.edges]
         w.meeting = tuple(ball[v] for v in w.meeting)
     return report
+
+
+def _closes_violation(H: LayeredHypergraph, e: Edge) -> bool:
+    """Whether H plus the new edge ``e``, a sorted tuple of vertex ids of H
+    not yet in H, breaks one of conditions i)-v), given that H satisfies
+    all five.
+
+    As in ``check_bouquet_around``, every forbidden set of H + e then
+    contains e, so only those are enumerated, straight from ``H.incidence``:
+    the partners of e (edges meeting it, counted with the number of
+    vertices they share with it) decide i), ii) and v); pairs of partners
+    through one vertex outside e decide iii); and iv) tags each edge
+    disjoint from e with the partners it meets there.
+    """
+    size = len(e)
+    layers, incidence = H.layers, H.incidence
+    meets: dict[tuple[int, int], int] = {}
+    for v in e:
+        for key in incidence[v]:
+            meets[key] = meets.get(key, 0) + 1
+    # i), ii): a partner sharing two or more vertices must be in e's layer
+    # and share size - 1 of them
+    for (layer, _), m in meets.items():
+        if m >= 2 and (layer != size or m != size - 1):
+            return True
+    partners = {key: set(layers[key[0]][key[1]]) for key in meets}
+    # v): two layer-3 edges sharing pairs with e and one vertex with each
+    # other (e in the middle), or one sharing a pair with e and a pair with
+    # a layer-3 edge that meets e once (e at an end)
+    if size == 3:
+        pair_mates = [s for key, s in partners.items() if key[0] == 3 and meets[key] == 2]
+        single_mates = [s for key, s in partners.items() if key[0] == 3 and meets[key] == 1]
+        for a, s in enumerate(pair_mates):
+            if any(len(s & t) == 1 for t in pair_mates[a + 1 :]):
+                return True
+            if any(len(s & t) == 2 for t in single_mates):
+                return True
+    # the partners through each vertex outside e
+    outside: dict[int, list[tuple[int, int]]] = {}
+    for key, s in partners.items():
+        for w in s.difference(e):
+            outside.setdefault(w, []).append(key)
+    # iii): partners f, g meeting e once each and each other only at w form
+    # a linear 3-cycle with e (their vertices in e differ, or f & g would
+    # hold it too); it is allowed with two or more layer-2 edges
+    for w, keys in outside.items():
+        singles = [key for key in keys if meets[key] == 1]
+        for a, f in enumerate(singles):
+            for g in singles[a + 1 :]:
+                if (size == 2) + (f[0] == 2) + (g[0] == 2) <= 1 and len(partners[f] & partners[g]) == 1:
+                    return True
+    # iv): an edge x disjoint from e meeting two disjoint partners closes a
+    # clean 4-cycle e - f - x - g
+    tags: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for w, keys in outside.items():
+        for x in incidence[w]:
+            if x not in meets:
+                tags.setdefault(x, set()).update(keys)
+    for met in tags.values():
+        if len(met) >= 2:
+            sets = [partners[key] for key in met]
+            for a, s in enumerate(sets):
+                if any(s.isdisjoint(t) for t in sets[a + 1 :]):
+                    return True
+    return False
 
 
 def check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:

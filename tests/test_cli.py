@@ -252,6 +252,19 @@ def test_gen_malformed_json_counts_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("caps", ['{"7": 1}', '{"1": 1}', '{"2": -1}'])
+def test_gen_vertex_caps_out_of_range_exit_2(tmp_path, capsys, caps):
+    out = tmp_path / "b.hg"
+    code, _, err = run(
+        capsys, "gen", "--kind", "bouquet", "--n", 10, "--k", 3,
+        "--counts", '{"2": 3}', "--vertex-caps", caps, "--out", out,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_schedule_non_finite_T_exit_2(capsys):
     for T in ("inf", "nan"):
         code, _, err = run(capsys, "schedule", "--n", 100, "--k", 3, "--T", T)

@@ -155,6 +155,16 @@ def test_gnp_matches_one_draw_at_a_time(bit_generator, n, k, p):
         lambda rng: gen_layered_bouquet(10, 3, {2: 1, 3: 1.5}, rng),
         lambda rng: gen_layered_bouquet(10, 3, {2: 1, 3: -1}, rng),
         lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={2: "1"}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={7: 1}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={1: 1}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={"2": 1}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={2.0: 1}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, vertex_caps={2: -1}),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, max_stall=-1),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, max_stall=0),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, max_stall=True),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, max_stall=2.5),
+        lambda rng: gen_layered_bouquet(10, 3, {2: 1}, rng, max_stall=None),
     ],
 )
 def test_generators_reject_non_integer_sizes_before_drawing(call):
@@ -325,6 +335,16 @@ def test_bouquet_generator_matches_full_check_replay(n, k, counts, caps, seeds):
         assert info == expect
         assert H.layers == R.layers  # same edges in the same insertion order
         assert k in info["stalled_layers"]
+
+
+def test_bouquet_generator_zero_cap_and_one_stall():
+    # a zero cap lets no edge into its layer; a stall limit of 1 gives up
+    # on a layer at its first miss
+    H, info = gen_layered_bouquet(10, 3, {2: 3, 3: 2}, stream(11, "bq-zero"), vertex_caps={2: 0})
+    assert info["achieved"][2] == 0 and info["stalled_layers"] == [2]
+    assert info["achieved"][3] == 2
+    H, info = gen_layered_bouquet(3, 2, {2: 5}, stream(11, "bq-one"), max_stall=1)
+    assert info["achieved"][2] < 5 and info["stalled_layers"] == [2]
 
 
 def test_bouquet_generator_validation():

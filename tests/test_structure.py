@@ -9,6 +9,7 @@ from hyperind.errors import InvalidArguments, InvalidVertex
 from hyperind.generators import gen_gnp
 from hyperind.rng import stream
 from hyperind.structure import (
+    _closes_violation,
     check_bouquet,
     check_bouquet_around,
     check_property_vprime,
@@ -387,10 +388,24 @@ def test_clean_four_matches_replay_on_dense_inputs(name):
         assert set(cycles) == set(brute_clean_four(H))
 
 
+def _near_candidate(H: LayeredHypergraph, edges: list, rng) -> tuple:
+    """A candidate edge drawn from the vertices of an existing edge f, of an
+    edge through a neighbor of f, and of two random vertices; its size is
+    f's or a random one in 2..k."""
+    f = edges[int(rng.integers(len(edges)))]
+    near = sorted(H.neighborhood(f, 1))
+    x = near[int(rng.integers(len(near)))]
+    layer, idx = H.incidence[x][int(rng.integers(len(H.incidence[x])))]
+    pool = set(f) | set(H.layers[layer][idx])
+    pool |= set(int(v) for v in rng.choice(H.n, size=2, replace=False))
+    size = len(f) if rng.random() < 0.5 else int(rng.integers(2, H.k + 1))
+    size = min(size, len(pool))
+    return tuple(sorted(int(v) for v in rng.choice(sorted(pool), size=size, replace=False)))
+
+
 def _local_vs_whole(seed: int, k: int) -> set[str]:
     """Grow a clean instance with the whole-graph check, then try candidate
-    edges drawn from the vertices of an existing edge f, of an edge through
-    a neighbor of f, and of two random vertices.  The local check must give
+    edges near its edges (``_near_candidate``).  The local check must give
     the whole-graph report for each; returns the properties they violated."""
     rng = stream(seed, "struct-local", k)
     counts = {i: int(rng.integers(0, 13)) for i in range(2, k + 1)}
@@ -398,15 +413,7 @@ def _local_vs_whole(seed: int, k: int) -> set[str]:
     edges = [e for _, e in H.edges()]
     violated: set[str] = set()
     for _ in range(8 if edges else 0):
-        f = edges[int(rng.integers(len(edges)))]
-        near = sorted(H.neighborhood(f, 1))
-        x = near[int(rng.integers(len(near)))]
-        layer, idx = H.incidence[x][int(rng.integers(len(H.incidence[x])))]
-        pool = set(f) | set(H.layers[layer][idx])
-        pool |= set(int(v) for v in rng.choice(H.n, size=2, replace=False))
-        size = len(f) if rng.random() < 0.5 else int(rng.integers(2, k + 1))
-        size = min(size, len(pool))
-        e = tuple(sorted(int(v) for v in rng.choice(sorted(pool), size=size, replace=False)))
+        e = _near_candidate(H, edges, rng)
         if not H.add_edge(e):
             continue
         local = check_bouquet_around(H, e)
@@ -414,7 +421,7 @@ def _local_vs_whole(seed: int, k: int) -> set[str]:
         assert local.holds == whole.holds
         assert local.to_dict() == whole.to_dict()
         violated.update(whole.violated_properties())
-        H.pop_edge(size)
+        H.pop_edge(len(e))
     return violated
 
 
@@ -442,6 +449,68 @@ def test_local_bouquet_check_ignores_far_edges():
     assert check_bouquet_around(H, (8, 9, 10)).holds
     report = check_bouquet_around(H, (2, 3))
     assert report.to_dict() == check_bouquet(H).to_dict()
+
+
+def _anchored_vs_around(seed: int, k: int) -> set[str]:
+    """Grow a clean mixed-layer instance with the whole-graph check, then
+    try candidates near its edges (``_near_candidate``).  For each new one
+    the anchored test must say whether the local report of the graph with
+    it fails; returns the properties behind its rejections."""
+    rng = stream(seed, "struct-anchored", k)
+    counts = {i: int(rng.integers(0, 13)) for i in range(2, k + 1)}
+    H, _ = replay_layered_bouquet(24, k, counts, rng, max_stall=40)
+    edges = [e for _, e in H.edges()]
+    rejected: set[str] = set()
+    for _ in range(12 if edges else 0):
+        e = _near_candidate(H, edges, rng)
+        if H.has_edge(e):
+            continue
+        closes = _closes_violation(H, e)
+        H.add_edge(e)
+        report = check_bouquet_around(H, e)
+        H.pop_edge(len(e))
+        assert closes == (not report.holds)
+        rejected.update(report.violated_properties())
+    return rejected
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_anchored_violation_test_matches_local_report(seed, k):
+    _anchored_vs_around(seed, k)
+
+
+def test_anchored_violation_test_rejects_for_every_property():
+    rejected = set()
+    for k in (2, 3, 4, 5):
+        for seed in range(12):
+            rejected |= _anchored_vs_around(seed, k)
+    assert rejected == {"i", "ii", "iii", "iv", "v"}
+
+
+@pytest.mark.parametrize(
+    "k, edges, candidate, prop",
+    [
+        (3, [(0, 1)], (0, 1, 2), "i"),
+        (3, [(0, 1, 2)], (0, 1, 3), None),  # shares size - 1 in its layer
+        (4, [(0, 1, 2, 3)], (0, 1, 4, 5), "ii"),
+        (3, [(0, 1, 2), (2, 3, 4)], (0, 4, 5), "iii"),
+        (2, [(0, 1), (1, 2)], (0, 2), None),  # three layer-2 edges
+        (3, [(0, 1), (1, 2, 3)], (0, 3), None),  # two layer-2 edges
+        (3, [(0, 1), (2, 3), (1, 3, 4)], (0, 2, 5), "iv"),
+        (3, [(0, 1, 2), (2, 3, 4)], (0, 2, 3), "v"),  # e in the middle
+        (3, [(0, 1, 2), (1, 2, 3)], (2, 3, 4), "v"),  # e at an end
+    ],
+)
+def test_anchored_violation_test_hand_cases(k, edges, candidate, prop):
+    H = LayeredHypergraph(8, k)
+    for f in edges:
+        H.add_edge(f)
+    assert check_bouquet(H).holds
+    closes = _closes_violation(H, candidate)
+    H.add_edge(candidate)
+    assert closes == (prop is not None)
+    assert check_bouquet(H).violated_properties() == ([prop] if prop else [])
 
 
 @given(st.integers(0, 2**31 - 1))
