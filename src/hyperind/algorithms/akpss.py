@@ -10,6 +10,11 @@ independent slice I_{m+1}:
   5. W = N(B) | Z is written off, I = C - D - W survives,
   6. contract edges of H~[V* | I] onto V* = V - C - D - W, clean, relabel.
 
+Step 1, with the round caps and the neighbourhood N(B) of step 5, depends on
+H_m and m only, never on the coins: a ``RoundPrep`` does it once per round.
+Steps 2-6 are the per-attempt coin phase of ``akpss_step``, which takes the
+round's RoundPrep or builds its own.
+
 The driver retries each round until the sizes land in the scheduled windows,
 keeps the best attempt otherwise, and verifies the final union against the
 round-0 input before returning a certificate.
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import LayeredHypergraph, check_integer, contract
+from ..core import LayeredHypergraph, _vertex_ids, check_integer, contract
 from ..errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from ..rng import stream
 from ..schedule import Schedule
@@ -92,6 +97,31 @@ class StepState:
     diagnostics: dict = field(default_factory=dict)
 
 
+class RoundPrep:
+    """Round m+1's work on the round graph H that the coins do not change,
+    shared by the round's attempts, which only read it: the round caps lifted
+    to H's degrees where H exceeds them (``cap_lifts``), the completion of H
+    under those caps (``completed``, its deficient set B as ``irregular``,
+    ``completion`` its info), and N(B) in the completion (``near_irregular``)."""
+
+    __slots__ = ("graph", "sched", "m", "cap_lifts", "completed", "irregular", "completion", "near_irregular")
+
+    def __init__(self, H: LayeredHypergraph, sched: Schedule, m: int):
+        k = H.k
+        vertex_caps = {i: sched.vertex_cap(m, i) for i in range(2, k + 1)}
+        pair_caps = {i: sched.pair_cap(m, i) for i in range(3, k + 1)}
+        self.cap_lifts = cap_excess(H, vertex_caps, pair_caps)
+        for kind, i, _, observed in self.cap_lifts:
+            (vertex_caps if kind == "vertex" else pair_caps)[i] = observed
+
+        self.completed, irregular, self.completion = almost_regular_complete(
+            H, vertex_caps, pair_caps, check_input=False
+        )
+        self.irregular = frozenset(irregular)
+        self.near_irregular = frozenset(self.completed.neighborhood(irregular, 1))
+        self.graph, self.sched, self.m = H, sched, m
+
+
 def akpss_step(
     H: LayeredHypergraph,
     sched: Schedule,
@@ -99,36 +129,35 @@ def akpss_step(
     rng: np.random.Generator,
     force_sample: set[int] | None = None,
     collect_contraction_data: bool = False,
+    prep: RoundPrep | None = None,
 ) -> tuple[LayeredHypergraph, dict[int, int], StepState]:
-    """Run round m+1 on H (the round-m graph). Returns the next graph, the
-    old->new vertex map, and the StepState.
+    """Run one attempt at round m+1 on H (the round-m graph). Returns the
+    next graph, the old->new vertex map, and the StepState.
 
-    force_sample bypasses the coin flips for C (tests). Raises RoundCollapsed
+    prep is the round's ``RoundPrep(H, sched, m)``; without it the step
+    builds its own.  force_sample bypasses the coin flips for C (tests).
+    Raises InvalidVertex for a forced id outside 0..n-1 and InvalidArguments
+    for a prep of another round, both before any work, and RoundCollapsed
     when no vertex survives; the exception carries the state so the caller
     can still bank the harvested set.
     """
     n = H.n
     k = H.k
     eps = sched.epsilon
-
-    vertex_caps = {i: sched.vertex_cap(m, i) for i in range(2, k + 1)}
-    pair_caps = {i: sched.pair_cap(m, i) for i in range(3, k + 1)}
-    cap_lifts = cap_excess(H, vertex_caps, pair_caps)
-    for kind, i, _, observed in cap_lifts:
-        (vertex_caps if kind == "vertex" else pair_caps)[i] = observed
-
-    H2, irregular, comp_info = almost_regular_complete(
-        H, vertex_caps, pair_caps, check_input=False
-    )
+    if force_sample is not None:
+        sampled = _vertex_ids(force_sample, n)
+    if prep is None:
+        prep = RoundPrep(H, sched, m)
+    elif prep.graph is not H or prep.sched is not sched or prep.m != m:
+        raise InvalidArguments(f"prep was built for another round than round {m + 1} of this graph")
+    H2, irregular, nb = prep.completed, prep.irregular, prep.near_irregular
 
     p = sched.p_at(m + 1)
     clamped = False
     if p > 1.0:
         p = 1.0
         clamped = True
-    if force_sample is not None:
-        sampled = set(force_sample)
-    else:
+    if force_sample is None:
         coins = rng.random(n)
         sampled = set(int(x) for x in np.nonzero(coins < p)[0])
 
@@ -140,7 +169,6 @@ def akpss_step(
         elif len(missing) == 1:
             dominated.add(missing[0])
 
-    nb = H2.neighborhood(irregular, 1)
     vprime = set(range(n)) - irregular - sampled - dominated
 
     # One pass over edges accumulates every deg_{i->j}(x) at once.  The
@@ -193,8 +221,8 @@ def akpss_step(
     diagnostics = {
         "p": p,
         "p_clamped": clamped,
-        "cap_lifts": cap_lifts,
-        "completion": comp_info,
+        "cap_lifts": prep.cap_lifts,
+        "completion": prep.completion,
         "completed_edges": H2.num_edges(),
         "sampled_raw": len(sampled),
         "independent_pre_waste": len(sampled - irregular - dominated),
@@ -309,11 +337,12 @@ def akpss_run(
         best: tuple[LayeredHypergraph, dict[int, int], StepState] | None = None
         best_good = False
         attempts_used = 0
+        prep = RoundPrep(current, sched, m)
         for attempt in range(retries_per_round):
             attempts_used = attempt + 1
             rng = stream(seed, "round", m, "attempt", attempt)
             try:
-                result = akpss_step(current, sched, m, rng)
+                result = akpss_step(current, sched, m, rng, prep=prep)
             except RoundCollapsed as rc:
                 # n_lo[m+1] > 0, so a collapsed attempt never hits the window
                 result = (LayeredHypergraph(0, H.k), {}, rc.state)

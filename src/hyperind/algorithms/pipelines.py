@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..core import LayeredHypergraph, subset_runs
+from ..core import LayeredHypergraph
 from ..errors import (
     InvalidArguments,
     PreconditionFailed,
@@ -86,13 +86,13 @@ def _sample(n: int, p: float, rng: np.random.Generator) -> set[int]:
 
 
 def _degrees_within(H: LayeredHypergraph, U: set[int]) -> dict[int, dict[int, int]]:
-    """Per layer, per vertex: number of edges fully inside U."""
+    """Per layer, per vertex: number of edges fully inside U, a set of
+    vertex ids; the cost is U's total degree, not the size of H."""
     out: dict[int, dict[int, int]] = {}
-    for layer, e in H.edges():
-        if all(v in U for v in e):
-            bucket = out.setdefault(layer, {})
-            for v in e:
-                bucket[v] = bucket.get(v, 0) + 1
+    for layer, idx in H._edges_inside(U):
+        bucket = out.setdefault(layer, {})
+        for v in H.layers[layer][idx]:
+            bucket[v] = bucket.get(v, 0) + 1
     return out
 
 
@@ -101,7 +101,7 @@ def _heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, np.ndarr
     of them; per edge, the degrees of its (k-1)-subsets in ``combinations``
     order), edges in edge order, of a k-uniform H."""
     edges = H.layers[H.k]
-    subsets, order, bounds = subset_runs([edges], H.k - 1)
+    subsets, order, bounds = H._layer_runs(H.k, H.k - 1)
     runs = np.diff(bounds)
     deg = np.empty((len(edges), H.k), dtype=np.int64)  # C(k, k-1) = k subsets an edge
     deg.flat[order] = np.repeat(runs, runs)

@@ -3,9 +3,16 @@
 A layered hypergraph on vertex set {0, ..., n-1} holds one edge family per
 uniformity i = 2..k.  Edges are sorted vertex tuples; each layer rejects
 duplicates, so the families are plain sets.  All mutation goes through
-``add_edge`` (or ``_extend_layer``, its unchecked bulk form for edges known
-to be valid and new); every query below is read-only and safe to call
-concurrently.
+three mutators: ``add_edge``, ``_extend_layer`` (its unchecked bulk form for
+edges known to be valid and new) and ``pop_edge``.  Code outside them reads
+``layers`` and ``incidence`` and never writes them.
+
+Every query below is read-only, apart from one memo: ``_layer_runs`` keeps the
+l-subset runs of a layer (``subset_runs``) per (layer, l), stamped with the
+layer's length.  ``add_edge`` and ``_extend_layer`` only lengthen a layer, so
+they outdate its entries without touching the memo; ``pop_edge`` can bring a
+length back with other edges, so it clears the memo.  Two threads filling one
+entry store equal values, so the queries stay safe to call concurrently.
 
 The on-disk format is line-oriented:
 
@@ -31,7 +38,7 @@ import itertools
 import math
 import numbers
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +127,7 @@ class LayeredHypergraph:
     k : maximum uniformity, k >= 2
     """
 
-    __slots__ = ("n", "k", "layers", "_edge_sets", "incidence")
+    __slots__ = ("n", "k", "layers", "_edge_sets", "incidence", "_runs")
 
     def __init__(self, n: int, k: int):
         check_integer("n", n)
@@ -135,6 +142,8 @@ class LayeredHypergraph:
         self._edge_sets: dict[int, set[Edge]] = {i: set() for i in range(2, k + 1)}
         # vertex -> list of (layer, index into layers[layer])
         self.incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # (layer, ell) -> (layer length, subset_runs of the layer); see _layer_runs
+        self._runs: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -205,6 +214,7 @@ class LayeredHypergraph:
         """
         if layer not in self.layers or not self.layers[layer]:
             raise InvalidArguments(f"layer {layer} has no edge to remove")
+        self._runs.clear()
         edge = self.layers[layer].pop()
         idx = len(self.layers[layer])
         self._edge_sets[layer].discard(edge)
@@ -290,9 +300,22 @@ class LayeredHypergraph:
         if ell == 0:
             m = len(edges)
             return (m, m)
-        counts = np.diff(subset_runs([edges], ell)[2])
+        counts = np.diff(self._layer_runs(layer, ell)[2])
         covered = len(counts) == math.comb(self.n, ell)  # every ell-subset lies in an edge
         return (int(counts.max()), int(counts.min()) if covered else 0)
+
+    def _layer_runs(self, layer: int, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``subset_runs`` of one layer's ell-subsets, counted once per graph
+        state (see the module docstring); the arrays are read-only."""
+        edges = self.layers[layer]
+        hit = self._runs.get((layer, ell))
+        if hit is not None and hit[0] == len(edges):
+            return hit[1]
+        runs = subset_runs([edges], ell)
+        for array in runs:
+            array.flags.writeable = False
+        self._runs[layer, ell] = (len(edges), runs)
+        return runs
 
     def link(self, x: int) -> list[tuple[int, Edge]]:
         """Residues e \\ {x} of the edges through x, tagged with their layer.
@@ -359,30 +382,41 @@ class LayeredHypergraph:
 
     # -- derived hypergraphs ------------------------------------------------
 
+    def _edges_inside(self, uset: set) -> list[tuple[int, int]]:
+        """(layer, index) of every edge inside a vertex set, in edge order:
+        an edge lies inside iff the set holds all ``layer`` of its vertices,
+        so the set's incidence entries count it that many times."""
+        hits = Counter(itertools.chain.from_iterable(map(self.incidence.__getitem__, uset)))
+        return sorted(entry for entry, count in hits.items() if count == entry[0])
+
     def induce(self, vertices) -> tuple["LayeredHypergraph", dict[int, int]]:
         """Subhypergraph on a vertex subset, relabeled to 0..|U|-1.
 
-        Keeps exactly the edges fully inside the subset.  Returns the new
-        hypergraph and the old->new relabeling map (ascending ids map to
-        ascending ids).
+        Keeps exactly the edges fully inside the subset, in edge order.
+        Returns the new hypergraph and the old->new relabeling map
+        (ascending ids map to ascending ids).  The edges are found from the
+        subset's incidence lists, so the cost is the subset's total degree
+        plus the kept edges, not the size of the whole graph.
         """
         uset = _vertex_ids(vertices, self.n)
         u = sorted(uset)
         old_to_new = {v: i for i, v in enumerate(u)}
         sub = LayeredHypergraph(len(u), self.k)
-        for i in range(2, self.k + 1):
-            for e in self.layers[i]:
-                if all(v in uset for v in e):
-                    sub.add_edge(tuple(old_to_new[v] for v in e))
+        layers = self.layers
+        for layer, idx in self._edges_inside(uset):
+            sub.add_edge(tuple(old_to_new[v] for v in layers[layer][idx]))
         return sub, old_to_new
 
     def is_independent(self, vertices) -> tuple[bool, Edge | None]:
-        """Whether no edge lies inside the set; returns a witness edge if one does."""
-        s = _vertex_ids(vertices, self.n)
-        for i in range(2, self.k + 1):
-            for e in self.layers[i]:
-                if all(v in s for v in e):
-                    return False, e
+        """Whether no edge lies inside the set; returns a witness edge if one
+        does, the first in edge order (layers ascending, insertion order).
+
+        The cost is the set's total degree, not the size of the whole graph.
+        """
+        inside = self._edges_inside(_vertex_ids(vertices, self.n))
+        if inside:
+            layer, idx = inside[0]
+            return False, self.layers[layer][idx]
         return True, None
 
     # -- canonical form ------------------------------------------------------

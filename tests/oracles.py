@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from itertools import combinations
 
-from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex
+from hyperind.core import Edge, LayeredHypergraph, MultiEdgeBag, _as_vertex, _vertex_ids
 from hyperind.errors import InvalidArguments, InvalidVertex, PreconditionFailed
 from hyperind.structure import (
     BouquetReport,
@@ -1171,3 +1171,318 @@ def replay_common_neighbor_max(H: LayeredHypergraph, layer: int | None = None) -
             if count > best:
                 best = count
     return best
+
+
+# -- the edge scans and the per-attempt round before their rewrites ------------
+#
+# Verbatim copies, renamed: ``LayeredHypergraph.induce`` and ``is_independent``
+# as whole-graph edge scans, before they counted the set's incidence entries
+# (``_degrees_inside`` above is the pipelines' ``_degrees_within`` of that
+# time); ``akpss_step`` and ``akpss_run`` as they
+# were before the round's caps, completion and N(B) were built once per round,
+# with every attempt redoing them.  The replayed round reaches induce and the
+# independence test through the scans here, so it keeps comparing against the
+# old code end to end.
+
+
+def replay_induce(H: LayeredHypergraph, vertices) -> tuple[LayeredHypergraph, dict[int, int]]:
+    """Subhypergraph on a vertex subset, relabeled to 0..|U|-1.
+
+    Keeps exactly the edges fully inside the subset.  Returns the new
+    hypergraph and the old->new relabeling map (ascending ids map to
+    ascending ids).
+    """
+    uset = _vertex_ids(vertices, H.n)
+    u = sorted(uset)
+    old_to_new = {v: i for i, v in enumerate(u)}
+    sub = LayeredHypergraph(len(u), H.k)
+    for i in range(2, H.k + 1):
+        for e in H.layers[i]:
+            if all(v in uset for v in e):
+                sub.add_edge(tuple(old_to_new[v] for v in e))
+    return sub, old_to_new
+
+
+def replay_is_independent(H: LayeredHypergraph, vertices) -> tuple[bool, Edge | None]:
+    """Whether no edge lies inside the set; returns a witness edge if one does."""
+    s = _vertex_ids(vertices, H.n)
+    for i in range(2, H.k + 1):
+        for e in H.layers[i]:
+            if all(v in s for v in e):
+                return False, e
+    return True, None
+
+
+def replay_akpss_step(H, sched, m, rng, force_sample=None, collect_contraction_data=False):
+    """Run round m+1 on H (the round-m graph). Returns the next graph, the
+    old->new vertex map, and the StepState.
+
+    force_sample bypasses the coin flips for C (tests). Raises RoundCollapsed
+    when no vertex survives; the exception carries the state so the caller
+    can still bank the harvested set.
+    """
+    import numpy as np
+
+    from hyperind.algorithms.akpss import StepState, mu_i_to_j
+    from hyperind.algorithms.regular import almost_regular_complete, cap_excess
+    from hyperind.core import contract
+    from hyperind.errors import RoundCollapsed
+
+    n = H.n
+    k = H.k
+    eps = sched.epsilon
+
+    vertex_caps = {i: sched.vertex_cap(m, i) for i in range(2, k + 1)}
+    pair_caps = {i: sched.pair_cap(m, i) for i in range(3, k + 1)}
+    cap_lifts = cap_excess(H, vertex_caps, pair_caps)
+    for kind, i, _, observed in cap_lifts:
+        (vertex_caps if kind == "vertex" else pair_caps)[i] = observed
+
+    H2, irregular, comp_info = almost_regular_complete(
+        H, vertex_caps, pair_caps, check_input=False
+    )
+
+    p = sched.p_at(m + 1)
+    clamped = False
+    if p > 1.0:
+        p = 1.0
+        clamped = True
+    if force_sample is not None:
+        sampled = set(force_sample)
+    else:
+        coins = rng.random(n)
+        sampled = set(int(x) for x in np.nonzero(coins < p)[0])
+
+    dominated: set[int] = set()
+    for _, e in H2.edges():
+        missing = [v for v in e if v not in sampled]
+        if not missing:
+            dominated.update(e)
+        elif len(missing) == 1:
+            dominated.add(missing[0])
+
+    nb = H2.neighborhood(irregular, 1)
+    vprime = set(range(n)) - irregular - sampled - dominated
+
+    # One pass over edges accumulates every deg_{i->j}(x) at once.  The
+    # membership requirement is on the link e - {x}, not on x itself, so an
+    # edge with exactly one vertex outside vprime | sampled counts for that
+    # vertex only.
+    deg_ij: dict[tuple[int, int], dict[int, int]] = {}
+    for layer, e in H2.edges():
+        n_v = 0
+        outside: list[int] = []
+        for v in e:
+            if v in vprime:
+                n_v += 1
+            elif v not in sampled:
+                outside.append(v)
+        if len(outside) > 1:
+            continue
+        if len(outside) == 1:
+            x = outside[0]
+            bucket = deg_ij.setdefault((layer, n_v + 1), {})
+            bucket[x] = bucket.get(x, 0) + 1
+        else:
+            for v in e:
+                j = n_v + 1 - (1 if v in vprime else 0)
+                bucket = deg_ij.setdefault((layer, j), {})
+                bucket[v] = bucket.get(v, 0) + 1
+
+    thresh_factor = (1.0 + eps / 4.0) ** 2
+    overflow: set[int] = set()
+    z_domain = set(range(n)) - nb - sampled
+    for (i, j), bucket in sorted(deg_ij.items()):
+        if j < 2:
+            continue
+        for x, value in bucket.items():
+            if x in z_domain and value > thresh_factor * mu_i_to_j(H2, x, p, i, j):
+                overflow.add(x)
+
+    waste = nb | overflow
+    independent = sampled - dominated - waste
+    survivors = set(range(n)) - sampled - dominated - waste
+
+    keep = survivors | independent
+    sub = LayeredHypergraph(n, k)
+    for layer, e in H2.edges():
+        if all(v in keep for v in e):
+            sub.add_edge(e)
+    bag, cleaned = contract(sub, survivors)
+    H_next, old_to_new = replay_induce(cleaned, sorted(survivors))
+
+    diagnostics = {
+        "p": p,
+        "p_clamped": clamped,
+        "cap_lifts": cap_lifts,
+        "completion": comp_info,
+        "completed_edges": H2.num_edges(),
+        "sampled_raw": len(sampled),
+        "independent_pre_waste": len(sampled - irregular - dominated),
+        "vprime": len(vprime),
+        "neighborhood_irregular": len(nb),
+        "bag_edges": len(bag.edges),
+        "bag_dropped_small": bag.dropped_small,
+        "cleaned_edges": cleaned.num_edges(),
+        "deg_ij_max": {
+            key: max(bucket.values()) for key, bucket in sorted(deg_ij.items())
+        },
+    }
+    if collect_contraction_data:
+        diagnostics["deg_ij"] = deg_ij
+        diagnostics["vprime_set"] = frozenset(vprime)
+        diagnostics["completed"] = H2
+
+    state = StepState(
+        m=m,
+        sampled=frozenset(sampled),
+        dominated=frozenset(dominated),
+        irregular=frozenset(irregular),
+        overflow=frozenset(overflow),
+        waste=frozenset(waste),
+        independent=frozenset(independent),
+        survivors=frozenset(survivors),
+        diagnostics=diagnostics,
+    )
+    if not survivors:
+        raise RoundCollapsed(f"round {m + 1} left no survivors", state=state)
+    return H_next, old_to_new, state
+
+
+def replay_akpss_run(H, sched, seed, retries_per_round=16, verify_rounds=False, check_input=True):
+    """Drive replay_akpss_step for the scheduled number of rounds and return a
+    verified certificate.
+
+    Each round is retried with fresh coins until the survivor count lands in
+    the scheduled window, the harvest reaches (1-eps) n gamma / (e t), and
+    the overflow stays under eps gamma n / (3 e t); after retries_per_round
+    attempts the attempt with the largest harvest wins.  Streams are derived
+    from (seed, "round", m, "attempt", a), so runs are reproducible.
+    """
+    from hyperind.algorithms.akpss import RunCertificate, StepState, check_retries
+    from hyperind.algorithms.regular import cap_excess
+    from hyperind.errors import RoundCollapsed
+    from hyperind.rng import stream
+    from hyperind.structure import check_bouquet
+
+    check_retries("retries_per_round", retries_per_round)
+    warnings: list[str] = []
+    if check_input:
+        report = check_bouquet(H)
+        if not report.holds:
+            raise PreconditionFailed(
+                "input violates the short-cycle conditions", witness=report
+            )
+    excess = cap_excess(
+        H,
+        {i: sched.vertex_cap(0, i) for i in range(2, H.k + 1)},
+        {i: sched.pair_cap(0, i) for i in range(3, H.k + 1)},
+    )
+    # layer by layer; the sort is stable, so a layer's vertex excess stays first
+    for kind, i, cap, observed in sorted(excess, key=lambda lift: lift[1]):
+        if kind == "vertex":
+            msg = f"layer {i} max degree {observed} exceeds round-0 cap {cap}"
+        else:
+            msg = f"layer {i} max ({i - 1})-set degree {observed} exceeds cap {cap}"
+        if sched.strict:
+            raise PreconditionFailed(msg)
+        warnings.append(msg)
+
+    current = H
+    to_original = list(range(H.n))
+    harvested: set[int] = set()
+    rounds: list[dict] = []
+    collapsed = False
+
+    for m in range(sched.M):
+        n_m = current.n
+        if n_m == 0:
+            warnings.append(f"round {m + 1}: no vertices left, stopping early")
+            break
+        gamma = sched.gamma_at(m + 1)
+        t_prev = sched.t[m]
+        harvest_floor = (1 - sched.epsilon) * n_m * gamma / (math.e * t_prev)
+        overflow_cap = sched.epsilon * gamma * n_m / (3 * math.e * t_prev)
+
+        best: tuple[LayeredHypergraph, dict[int, int], StepState] | None = None
+        best_good = False
+        attempts_used = 0
+        for attempt in range(retries_per_round):
+            attempts_used = attempt + 1
+            rng = stream(seed, "round", m, "attempt", attempt)
+            try:
+                result = replay_akpss_step(current, sched, m, rng)
+            except RoundCollapsed as rc:
+                # n_lo[m+1] > 0, so a collapsed attempt never hits the window
+                result = (LayeredHypergraph(0, H.k), {}, rc.state)
+            h_next, relabel, state = result
+            good_window = sched.n_lo[m + 1] <= h_next.n <= sched.n_hi[m + 1]
+            good_harvest = len(state.independent) >= harvest_floor
+            good_overflow = len(state.overflow) <= overflow_cap
+            if best is None or len(state.independent) > len(best[2].independent):
+                best = result
+            if good_window and good_harvest and good_overflow:
+                best = result
+                best_good = True
+                break
+
+        assert best is not None
+        h_next, relabel, state = best
+        round_info = {
+            "round": m + 1,
+            "n_before": n_m,
+            "n_after": h_next.n,
+            "attempts": attempts_used,
+            "good": best_good,
+            "window": (sched.n_lo[m + 1], sched.n_hi[m + 1]),
+            "harvest_floor": harvest_floor,
+            "overflow_cap": overflow_cap,
+            "sampled": len(state.sampled),
+            "dominated": len(state.dominated),
+            "irregular": len(state.irregular),
+            "overflow": len(state.overflow),
+            "waste": len(state.waste),
+            "harvested": len(state.independent),
+            "cap_lifts": state.diagnostics.get("cap_lifts", []),
+        }
+        if not best_good:
+            warnings.append(
+                f"round {m + 1}: no attempt hit all windows after "
+                f"{attempts_used} tries, kept the largest harvest"
+            )
+        harvested.update(to_original[x] for x in state.independent)
+        if verify_rounds:
+            round_info["structure_ok"] = check_bouquet(h_next).holds
+
+        if not state.survivors or h_next.n == 0:
+            rounds.append(round_info)
+            collapsed = True
+            warnings.append(f"round {m + 1}: graph collapsed, stopping early")
+            break
+
+        next_map = [0] * h_next.n
+        for old, new in relabel.items():
+            next_map[new] = to_original[old]
+        to_original = next_map
+        current = h_next
+        rounds.append(round_info)
+
+    result_set = tuple(sorted(harvested))
+    ok, witness = replay_is_independent(H, result_set)
+    if not ok:
+        raise AssertionError(
+            f"harvested set spans an edge, this is a bug: {witness}"
+        )
+    return RunCertificate(
+        algorithm="akpss",
+        independent_set=result_set,
+        verified=True,
+        rounds=rounds,
+        diagnostics={
+            "rounds_completed": len(rounds),
+            "rounds_scheduled": sched.M,
+            "collapsed": collapsed,
+            "final_n": current.n if not collapsed else 0,
+        },
+        warnings=warnings,
+    )

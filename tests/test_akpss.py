@@ -13,16 +13,16 @@ import pytest
 
 import hyperind.algorithms.akpss as akpss_module
 from hyperind.algorithms import akpss_run, akpss_step, deg_i_to_j, mu_i_to_j
-from hyperind.algorithms.akpss import MAX_RETRIES
+from hyperind.algorithms.akpss import MAX_RETRIES, RoundPrep
 from hyperind.algorithms.regular import almost_regular_complete
 from hyperind.core import LayeredHypergraph
-from hyperind.errors import InvalidArguments, PreconditionFailed, RoundCollapsed
+from hyperind.errors import InvalidArguments, InvalidVertex, PreconditionFailed, RoundCollapsed
 from hyperind.generators import gen_layered_bouquet
 from hyperind.rng import stream
 from hyperind.schedule import build_schedule
 from hyperind.structure import check_bouquet
 
-from oracles import replay_almost_regular_complete
+from oracles import replay_akpss_run, replay_almost_regular_complete
 
 
 def two_layer_sched(n=1000):
@@ -126,6 +126,30 @@ def test_step_force_sample_is_honored():
     assert state.sampled == frozenset()
     assert state.independent == frozenset()
     assert state.survivors == frozenset()
+
+
+@pytest.mark.parametrize("bad", [10**6, -5, "a", 2.5, True])
+def test_step_force_sample_rejects_non_vertices_before_any_work(monkeypatch, bad):
+    H = LayeredHypergraph(800, 2)
+    sched = two_layer_sched(800)
+    _, _, state = akpss_step(H, sched, 0, stream(41, "step"))
+    sample = [v for v in sorted(state.sampled) if v != 1]  # True would merge into 1
+
+    def no_completion(*args, **kwargs):
+        raise AssertionError("the round was prepared before the ids were checked")
+
+    monkeypatch.setattr(akpss_module, "almost_regular_complete", no_completion)
+    with pytest.raises(InvalidVertex):
+        akpss_step(H, sched, 0, stream(41, "step"), force_sample=sample + [bad])
+
+
+def test_step_rejects_a_prep_of_another_round():
+    H = LayeredHypergraph(100, 2)
+    sched = two_layer_sched(100)
+    prep = RoundPrep(H, sched, 0)
+    for args in ((H.copy(), sched, 0), (H, two_layer_sched(100), 0), (H, sched, 1)):
+        with pytest.raises(InvalidArguments, match="another round"):
+            akpss_step(*args, stream(1, "prep"), prep=prep)
 
 
 def test_run_two_layer_round_end_to_end():
@@ -260,6 +284,31 @@ def test_run_matches_radius_three_completion(monkeypatch, n, seed):
     assert got.independent_set == expect.independent_set
     assert got.rounds == expect.rounds
     assert got.warnings == expect.warnings
+
+
+def _bouquet_k3():
+    H, _ = gen_layered_bouquet(200, 3, {2: 60, 3: 60}, stream(3, "replay-bouquet"))
+    return H, build_schedule(H.n, math.e ** 3, 3)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        lambda: (LayeredHypergraph(300, 2), two_layer_sched(300)),
+        lambda: (LayeredHypergraph(800, 2), two_layer_sched(800)),
+        _bouquet_k3,
+        lambda: (two_stars(207), build_schedule(two_stars(207).n, math.e ** 2, 4)),
+    ],
+    ids=["edgeless-300", "edgeless-800", "bouquet-k3", "cap-lifts-k4"],
+)
+@pytest.mark.parametrize("seed, retries", [(1, 2), (2, 3), (5, 4)])
+def test_run_matches_per_attempt_replay(instance, seed, retries):
+    # one completion per round against the old step, which redid the caps,
+    # the completion and N(B) on every attempt
+    H, sched = instance()
+    got = akpss_run(H, sched, seed=seed, retries_per_round=retries)
+    expect = replay_akpss_run(H, sched, seed=seed, retries_per_round=retries)
+    assert got.to_dict() == expect.to_dict()
 
 
 def test_run_warns_on_degrees_above_round_zero_caps():

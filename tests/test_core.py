@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperind import core
+from hyperind.algorithms.pipelines import _degrees_within
 from hyperind.core import (
     MAX_FILE_UNIFORMITY,
     MAX_FILE_VERTICES,
@@ -22,11 +23,14 @@ from hyperind.errors import (
 from hyperind.rng import stream
 
 from oracles import (
+    _degrees_inside,
     brute_deg,
     brute_max_min_degree,
     random_count_graph,
     random_layered,
     replay_contract,
+    replay_induce,
+    replay_is_independent,
     replay_max_min_degree,
 )
 
@@ -159,6 +163,48 @@ def test_max_min_degree_matches_dict_loop_replay(seed, k):
             assert [type(x) for x in got] == [int, int]
 
 
+@given(
+    st.integers(2, 5),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "extend", "pop", "query"]), st.integers(2, 5), st.integers(0, 2**31 - 1)
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_max_min_degree_memo_follows_every_mutator(k, ops):
+    # the memoised l-subset runs against the dict loop at each query; runs of
+    # mutations between queries reach a pop then an add, which brings a layer
+    # back to a length it had when the memo was filled
+    H = LayeredHypergraph(k + 3, k)
+    for op, layer, seed in ops + [("query", 2, 0)]:
+        rng = stream(seed, "core-memo")
+        layer = min(layer, k)
+        if op == "query":
+            for i in range(2, k + 1):
+                for ell in range(i):
+                    assert H.max_min_degree(i, ell) == replay_max_min_degree(H, i, ell)
+        elif op == "add":
+            H.add_edge(tuple(int(v) for v in rng.choice(H.n, size=layer, replace=False)))
+        elif op == "extend":
+            fresh = {tuple(sorted(int(v) for v in rng.choice(H.n, size=layer, replace=False))) for _ in range(3)}
+            H._extend_layer(layer, sorted(e for e in fresh if not H.has_edge(e)))
+        elif H.layers[layer]:
+            H.pop_edge(layer)
+
+
+def test_pop_then_add_recounts_the_layer():
+    # the layer is back at the length its memo entry was stamped with
+    H = LayeredHypergraph(6, 3)
+    H.add_edge((0, 1, 2))
+    H.add_edge((3, 4, 5))
+    assert H.max_min_degree(3, 1) == (1, 1)
+    H.pop_edge(3)
+    H.add_edge((0, 1, 3))
+    assert H.max_min_degree(3, 1) == replay_max_min_degree(H, 3, 1) == (2, 0)
+
+
 def test_max_min_degree_argument_checks():
     H = small_graph()
     for layer, ell in ((5, 1), (3, 3), (4, 1.0), (4, True), (4.0, 2), (True, 1), (4, "1")):
@@ -207,6 +253,28 @@ def test_is_independent_witness():
 
 
 # each read-only query, given one vertex id v alongside valid ones
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.floats(0, 1))
+@settings(max_examples=120, deadline=None)
+def test_edge_queries_match_edge_scan_replay(seed, k, share):
+    # induce, is_independent and the pipelines' _degrees_within from the
+    # incidence lists, against the old whole-graph scans: equal layers and
+    # incidence order, relabel map, first witness and per-vertex counts
+    rng = stream(seed, "core-inside", k)
+    H = random_count_graph(rng, k)
+    drawn = {v for v in range(H.n) if rng.random() < share}
+    for U in (set(), drawn, set(range(H.n))):
+        sub, relabel = H.induce(U)
+        expect, expect_relabel = replay_induce(H, U)
+        assert (sub.n, sub.layers, sub.incidence) == (expect.n, expect.layers, expect.incidence)
+        assert relabel == expect_relabel
+        assert H.is_independent(U) == replay_is_independent(H, U)
+        within = _degrees_within(H, U)
+        assert within == _degrees_inside(H, U)
+        assert [list(b.items()) for b in within.values()] == [
+            list(b.items()) for b in _degrees_inside(H, U).values()
+        ]
+
+
 QUERIES = {
     "deg": lambda H, v: H.deg([v, 1]),
     "neighborhood": lambda H, v: H.neighborhood([v, 1], 2),
