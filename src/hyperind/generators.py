@@ -115,8 +115,14 @@ def gen_gnp(
     while idx < total:
         state = rng.bit_generator.state
         for used, u in enumerate(rng.random(_DRAW_BLOCK).tolist(), 1):
-            # geometric gap: failures before the next success
-            idx += (int(log(u) / log_q) if u > 0.0 else total) + 1
+            # geometric gap: failures before the next success.  Below p of
+            # about 1e-307 the quotient can overflow; that gap lies past
+            # every rank
+            try:
+                gap = int(log(u) / log_q) if u > 0.0 else total
+            except OverflowError:
+                gap = total
+            idx += gap + 1
             if idx >= total:
                 rng.bit_generator.state = state
                 rng.random(used)

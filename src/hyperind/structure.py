@@ -26,11 +26,15 @@ way (``_take``).  The (2,l)-cycle streams are built on the shared-subset
 index (``_shared_buckets``), which holds only the l-subsets lying in two or
 more edges; it is built on the runs of ``core.subset_runs``, the one count
 of l-subsets of edges, as is ``common_neighbor_max``.  ``check_bouquet``,
-the linear 3-cycle scan and the v' scan need every covered pair and use
-``_buckets``.  ``_closes_violation`` decides one candidate edge against a
-clean graph from its incidence lists alone, with no index.  A ``limit``
-argument reads a prefix of a stream: ``None`` means every witness, ``0``
-none, and a negative or non-integer limit raises InvalidArguments.
+the linear 3-cycle scan and the v' scan read covered pairs off the forward
+pair index (``_PairIndex``), which maps a vertex a to the keys of the edges
+through a and each later vertex b; a vertex's map is built from its
+incidence list the first time it is read, so a scan that stops early
+builds only the maps it walked.  ``_closes_violation`` decides one
+candidate edge against a clean graph from its incidence lists alone, with
+no index.  A ``limit`` argument reads a prefix of a stream: ``None`` means
+every witness, ``0`` none, and a negative or non-integer limit raises
+InvalidArguments.
 """
 
 from __future__ import annotations
@@ -121,23 +125,53 @@ class Classification:
     reason: str | None = None
 
 
-# -- shared index and reader --------------------------------------------------
+# -- shared indexes and reader ------------------------------------------------
 
 
-def _buckets(H: LayeredHypergraph) -> dict[Edge, list[EdgeKey]]:
-    """vertex pair -> the (layer, edge) keys of H containing it, for every
-    covered pair, across every layer, in ``H.edges()`` order; the keys are
-    the tuples ``H.edges()`` yields, shared by every bucket of an edge."""
-    buckets: dict[Edge, list[EdgeKey]] = {}
-    for key in H.edges():
-        for sub in itertools.combinations(key[1], 2):
-            buckets.setdefault(sub, []).append(key)
-    return buckets
+class _PairIndex(dict):
+    """The forward pair index of H: vertex a -> {b: the sorted (layer, edge)
+    keys of H holding both a and b}, for the vertices b > a that share an
+    edge with a, in ascending b.
+
+    A vertex's map is built from ``H.incidence[a]`` alone the first time it
+    is read, and kept; an edge whose last vertex is a adds nothing to it.
+    ``vertices`` lists the vertices with edges, ascending, found in one
+    C-level pass over the incidence lists; the walks pass over the rest.
+    """
+
+    __slots__ = ("layers", "incidence", "vertices")
+
+    def __init__(self, H: LayeredHypergraph):
+        super().__init__()
+        self.layers = H.layers
+        self.incidence = H.incidence
+        self.vertices = list(itertools.compress(range(H.n), H.incidence))
+
+    def __missing__(self, a: int) -> dict[int, list[EdgeKey]]:
+        layers = self.layers
+        # (b, key) for each later vertex b of each edge through a, sorted
+        # once: ascending b, and each b's keys in sorted order
+        pairs = [(b, key) for i, idx in self.incidence[a] for key in ((i, layers[i][idx]),) for b in key[1] if b > a]
+        pairs.sort()
+        fwd = self[a] = {}
+        for b, key in pairs:
+            if b in fwd:
+                fwd[b].append(key)
+            else:
+                fwd[b] = [key]
+        return fwd
+
+
+def _shared_pairs(index: _PairIndex):
+    """((a, b), keys) for the vertex pairs a < b lying in two or more edges,
+    in sorted pair order, read off ``index``."""
+    return (((a, b), keys) for a in index.vertices for b, keys in index[a].items() if len(keys) > 1)
 
 
 def _shared_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]:
     """vertex ell-subset -> the (layer, edge) keys of H containing it, for the
-    subsets lying in two or more edges; entries and keys as in ``_buckets``.
+    subsets lying in two or more edges, in ``H.edges()`` order; the keys are
+    the tuples ``H.edges()`` yields, shared by every bucket of an edge.
 
     The runs of ``subset_runs`` over the layers of at least ell keep their
     owners in ``H.edges()`` order; only runs of two or more become buckets.
@@ -183,9 +217,11 @@ def _inter_size(a: Edge, b: Edge) -> int:
 # -- 2-cycles -----------------------------------------------------------------
 
 
-def _overlap_iter(buckets: dict[Edge, list[EdgeKey]], ell: int | None = None):
+def _overlap_iter(buckets, ell: int | None = None):
     """Yield (edge, edge, shared vertices) for pairs of edges sharing at
-    least two vertices, once each, in sorted bucket order.
+    least two vertices, once each, in the order of ``buckets``, an iterable
+    of (vertex subset, keys of the two or more edges holding it) in sorted
+    subset order.
 
     With ell None the buckets are pair buckets, and a pair sharing j
     vertices, which sits in C(j, 2) of them, is emitted from its
@@ -193,10 +229,7 @@ def _overlap_iter(buckets: dict[Edge, list[EdgeKey]], ell: int | None = None):
     buckets, and only pairs sharing exactly ell vertices are emitted, from
     the one bucket of their shared set.
     """
-    for sub in sorted(buckets):
-        entries = buckets[sub]
-        if len(entries) < 2:
-            continue
+    for sub, entries in buckets:
         for ka, kb in itertools.combinations(sorted(entries), 2):
             shared = tuple(sorted(set(ka[1]) & set(kb[1])))
             if (shared[:2] == sub) if ell is None else (len(shared) == ell):
@@ -210,12 +243,12 @@ def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
     Only buckets of two or more edges can hold a witness, and the pair of
     edges sharing j >= 2 vertices sits in the bucket of its least shared
     pair, so ``_overlap_iter`` meets the same witnesses in the shared-subset
-    index as in ``_buckets``.
+    index as in the buckets of every covered pair.
     """
     check_limit("ell", ell, 2)
     return (
         CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
-        for ka, kb, shared in _overlap_iter(_shared_buckets(H, ell or 2), ell)
+        for ka, kb, shared in _overlap_iter(sorted(_shared_buckets(H, ell or 2).items()), ell)
     )
 
 
@@ -235,55 +268,52 @@ def count_two_cycles(H: LayeredHypergraph, ell: int) -> int:
 # -- linear 3-cycles ----------------------------------------------------------
 
 
-def _linear_three_iter(buckets: dict[Edge, list[EdgeKey]]):
+def _linear_three_iter(index: _PairIndex):
     """Yield linear 3-cycles once each, in deterministic order, from the
-    pair buckets of a hypergraph.
+    forward pair index of a hypergraph.
 
-    The meeting vertices of a linear 3-cycle form a triangle in the graph of
-    covered vertex pairs, so enumeration walks those triangles and filters
-    edge combinations by the exact-singleton conditions.
+    The meeting vertices a < b < c of a linear 3-cycle form a triangle in
+    the graph of covered vertex pairs, so enumeration walks the covered
+    pairs (a, b) in sorted order, takes each c covered with both a and b
+    from the keys of their forward maps, and filters edge combinations by
+    the exact-singleton conditions.  Up to its first witness the scan
+    builds the maps of the vertices a it has walked and of their later
+    neighbours b.
     """
-    adj: dict[int, set[int]] = {}
-    for a, b in buckets:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    for a, b in sorted(buckets):
-        common = adj[a] & adj[b]
-        for c in sorted(v for v in common if v > b):
-            if (a, c) not in buckets or (b, c) not in buckets:
-                continue
-            # roles: e_ab meets e_ac at a, e_ab meets e_bc at b, e_ac meets e_bc at c
-            for ke_ab in sorted(buckets[(a, b)]):
-                set_ab = set(ke_ab[1])
-                if c in set_ab:
-                    continue
-                for ke_ac in sorted(buckets[(a, c)]):
-                    if ke_ac == ke_ab:
+    for a in index.vertices:
+        fwd_a = index[a]
+        for b, keys_ab in fwd_a.items():
+            fwd_b = index[b]
+            for c in sorted(fwd_a.keys() & fwd_b.keys()):
+                # roles: e_ab meets e_ac at a, e_ab meets e_bc at b, e_ac meets
+                # e_bc at c; none holds all of a, b, c, so the three differ
+                acs = bcs = None
+                for ke_ab in keys_ab:
+                    if c in ke_ab[1]:
                         continue
-                    set_ac = set(ke_ac[1])
-                    if b in set_ac or len(set_ab & set_ac) != 1:
-                        continue
-                    for ke_bc in sorted(buckets[(b, c)]):
-                        if ke_bc == ke_ab or ke_bc == ke_ac:
+                    set_ab = set(ke_ab[1])
+                    if acs is None:  # the candidates for e_ac and e_bc, with their vertex sets
+                        acs = [(key, set(key[1])) for key in fwd_a[c] if b not in key[1]]
+                        bcs = [(key, set(key[1])) for key in fwd_b[c] if a not in key[1]]
+                    for ke_ac, set_ac in acs:
+                        if len(set_ab & set_ac) != 1:
                             continue
-                        set_bc = set(ke_bc[1])
-                        if a in set_bc:
-                            continue
-                        if len(set_ab & set_bc) != 1 or len(set_ac & set_bc) != 1:
-                            continue
-                        edges = sorted([ke_ab, ke_ac, ke_bc])
-                        h2 = sum(1 for layer, _ in edges if layer == 2)
-                        yield CycleWitness(
-                            kind="linear_three",
-                            edges=edges,
-                            meeting=(a, b, c),
-                            h2_count=h2,
-                        )
+                        for ke_bc, set_bc in bcs:
+                            if len(set_ab & set_bc) != 1 or len(set_ac & set_bc) != 1:
+                                continue
+                            edges = sorted([ke_ab, ke_ac, ke_bc])
+                            h2 = sum(1 for layer, _ in edges if layer == 2)
+                            yield CycleWitness(
+                                kind="linear_three",
+                                edges=edges,
+                                meeting=(a, b, c),
+                                h2_count=h2,
+                            )
 
 
 def find_linear_three_cycles(H: LayeredHypergraph, limit: int | None = None) -> list[CycleWitness]:
     """Linear 3-cycles with their layer-2 edge counts in ``h2_count``."""
-    return _take(_linear_three_iter(_buckets(H)), limit)
+    return _take(_linear_three_iter(_PairIndex(H)), limit)
 
 
 # -- clean 4-cycles -----------------------------------------------------------
@@ -388,21 +418,21 @@ def find_clean_four_cycles(H: LayeredHypergraph, limit: int | None = None) -> li
 # -- bouquet ------------------------------------------------------------------
 
 
-def _property_v_iter(H: LayeredHypergraph, buckets: dict[Edge, list[EdgeKey]]):
+def _property_v_iter(H: LayeredHypergraph, index: _PairIndex):
     """Layer-3 triples with overlap pattern (2, 2, 1); the middle edge is the
-    unique one meeting both others in two vertices.  ``buckets`` are the
-    pair buckets of H, of which only the layer-3 entries are read."""
+    unique one meeting both others in two vertices.  ``index`` is the
+    forward pair index of H, of which only the layer-3 entries are read."""
     edges3 = sorted(set(H.layers.get(3, [])))
     if len(edges3) < 3:
         return
     for mid in edges3:
-        partners: list[Edge] = []
-        seen: set[Edge] = set()
-        for pair in itertools.combinations(mid, 2):
-            for layer, other in buckets[pair]:
-                if layer == 3 and other != mid and other not in seen and _inter_size(other, mid) == 2:
-                    seen.add(other)
-                    partners.append(other)
+        x, y, z = mid
+        # another layer-3 edge meeting mid in two vertices sits in exactly
+        # one of mid's three pair buckets, next to mid
+        partners = []
+        for keys in (index[x][y], index[x][z], index[y][z]):
+            if len(keys) > 1:
+                partners += [other for layer, other in keys if layer == 3 and other != mid]
         partners.sort()
         for e1, e3 in itertools.combinations(partners, 2):
             if _inter_size(e1, e3) == 1:
@@ -417,18 +447,25 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
     """Evaluate the five bouquet conditions; first witness per violation.
 
     Every scan stops at its property's first witness, so an input that
-    violates early is cheap: the clean 4-cycle scan costs the middle edges
-    up to its first witness's and one closing pair per candidate there (see
-    ``_clean_four_iter``), however many cycles the graph holds.  A clean
-    input pays for the full scans: the linear 3-cycle and clean 4-cycle
-    scans cost what the cycle detectors cost.
+    violates early is cheap.  Up to their first witnesses the i)/ii)
+    overlap walk and the linear 3-cycle scan cost the forward maps of the
+    pair index (``_PairIndex``) they read, each built from one vertex's
+    incidence list: those of the vertices walked and, for iii), of their
+    later neighbours; the v) scan reads the maps of the vertices of the
+    layer-3 edges up to its witness's middle edge.  The clean 4-cycle scan
+    costs the middle edges up to its first witness's and one closing pair
+    per candidate there (see ``_clean_four_iter``), however many cycles the
+    graph holds.  Beyond that the check makes one C-level pass over the
+    incidence lists, to find the vertices with edges.  A clean input pays
+    for the full scans: the linear 3-cycle and clean 4-cycle scans cost
+    what the cycle detectors cost.
     """
-    buckets = _buckets(H)
+    index = _PairIndex(H)
     # with one nonempty layer, no pair of edges can violate i)
     single_layer = sum(1 for i in range(2, H.k + 1) if H.layers[i]) < 2
     witness_i = None
     witness_ii = None
-    for ka, kb, shared in _overlap_iter(buckets):
+    for ka, kb, shared in _overlap_iter(_shared_pairs(index)):
         if ka[0] != kb[0]:
             if witness_i is None:
                 witness_i = CycleWitness(kind="cross_layer_overlap", edges=[ka, kb], meeting=shared, ell=len(shared))
@@ -436,11 +473,11 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
             witness_ii = CycleWitness(kind="within_layer_overlap", edges=[ka, kb], meeting=shared, ell=len(shared))
         if witness_ii is not None and (witness_i is not None or single_layer):
             break
-    # each stream is a temporary, dropped with its indexes before the next
-    # one starts
-    witness_iii = next((w for w in _linear_three_iter(buckets) if w.h2_count <= 1), None)
+    # the pair index is read by every scan but iv), which builds and drops
+    # its own edge index
+    witness_iii = next((w for w in _linear_three_iter(index) if w.h2_count <= 1), None)
     witness_iv = next(_clean_four_iter(H), None)
-    witness_v = next(_property_v_iter(H, buckets), None)
+    witness_v = next(_property_v_iter(H, index), None)
     found = zip(("i", "ii", "iii", "iv", "v"), (witness_i, witness_ii, witness_iii, witness_iv, witness_v))
     violations = [(prop, w) for prop, w in found if w is not None]
     return BouquetReport(holds=not violations, violations=violations)
@@ -460,8 +497,15 @@ def check_bouquet_around(H: LayeredHypergraph, edge) -> BouquetReport:
 
     This is the local report, with witnesses; a yes-or-no answer for a
     candidate edge comes cheaper from ``_closes_violation``, which the
-    tests hold to this report.
+    tests hold to this report.  Anything but an edge of H raises
+    InvalidArguments before any work.
     """
+    try:
+        known = H.has_edge(edge)
+    except TypeError:  # not a collection of comparable, hashable ids
+        known = False
+    if not known:
+        raise InvalidArguments(f"{edge!r} is not an edge of the hypergraph")
     ball = sorted(H.neighborhood(edge, 2))
     old_to_new = {v: i for i, v in enumerate(ball)}
     keys: set[tuple[int, int]] = set()
@@ -558,12 +602,12 @@ def check_property_vprime(H: LayeredHypergraph, limit: int | None = None) -> lis
 
 def _vprime_iter(H: LayeredHypergraph):
     """v' triples, middle edges in sorted order, partner pairs sorted."""
-    buckets = _buckets(H)
+    index = _PairIndex(H)
     for mid_key in sorted(H.edges()):
         mid = mid_key[1]
         partners: dict[EdgeKey, int] = {}
-        for pair in itertools.combinations(mid, 2):
-            for other in buckets[pair]:
+        for a, b in itertools.combinations(mid, 2):
+            for other in index[a][b]:
                 if other != mid_key and other not in partners:
                     partners[other] = _inter_size(other[1], mid)
         plist = sorted(partners)
@@ -627,10 +671,14 @@ def classify_intersecting_family(family) -> Classification:
     pair meeting in other than i-1 vertices, yield ``not_applicable`` with a
     witness pair.  A single edge counts as a sunflower whose core is the
     edge itself; when both descriptions fit (two edges), sunflower wins.
+    An edge with a repeated vertex raises InvalidArguments.
     """
     edges = sorted(set(tuple(sorted(e)) for e in family))
     if not edges:
         raise InvalidArguments("family must contain at least one edge")
+    for e in edges:
+        if len(set(e)) != len(e):
+            raise InvalidArguments(f"repeated vertex in edge {e}")
     sizes = sorted(set(len(e) for e in edges))
     if len(sizes) > 1:
         small = next(e for e in edges if len(e) == sizes[0])

@@ -135,6 +135,16 @@ def test_gnp_matches_one_draw_at_a_time(bit_generator, n, k, p):
         assert H.num_edges() == 0
 
 
+@pytest.mark.parametrize("p", [5e-324, 2.2e-311, 1e-300])
+def test_gnp_with_a_vanishing_p_draws_one_gap_and_no_edge(p):
+    # below p of about 1e-307 a gap's float quotient passes the largest
+    # float; it still lies past every rank
+    rng, replay_rng = stream(1, "gnp-tiny-p"), stream(1, "gnp-tiny-p")
+    assert gen_gnp(12, 3, p, rng).num_edges() == 0
+    replay_rng.random()
+    assert plain_state(rng) == plain_state(replay_rng)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,9 +1,11 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperind import structure
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments, InvalidVertex
 from hyperind.generators import gen_gnp
@@ -354,6 +356,66 @@ def test_bouquet_matches_replay_on_rough_file():
     _assert_bouquet_replayed(H, limits=(1, 2, 5))
 
 
+# the largest n drawn per uniformity: at p = 1 the full v' list of
+# gen_gnp(9, 5) holds 83,160 triples and the linear 3-cycle list of
+# gen_gnp(11, 3) 55,440 cycles
+DENSE_MAX_N = {2: 14, 3: 11, 4: 9, 5: 9}
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_pair_index_scans_match_replay_on_dense_inputs(seed, k, p, mixed):
+    # dense and violating inputs, where most covered pairs lie in several
+    # edges: the scans on the forward pair index give the witnesses of the
+    # all-pairs buckets, in the same order
+    rng = stream(seed, "struct-pair-index", k)
+    n = int(rng.integers(k + 1, DENSE_MAX_N[k] + 1))
+    if mixed:
+        H = random_layered(rng, n=n, k=k, edges=int(p * 5 * n))
+    else:
+        H = gen_gnp(n, k, p, rng)
+
+    def dicts(witnesses):
+        return [w.to_dict() for w in witnesses]
+
+    assert check_bouquet(H).to_dict() == replay_check_bouquet(H).to_dict()
+    for limit in (None, 1, 10):
+        assert dicts(find_linear_three_cycles(H, limit)) == dicts(replay_find_linear_three_cycles(H, limit))
+        assert dicts(check_property_vprime(H, limit)) == dicts(replay_check_property_vprime(H, limit))
+
+
+@pytest.fixture
+def built_maps(monkeypatch):
+    """The vertices whose forward maps the pair index builds, in order."""
+    built: list[int] = []
+
+    class Recording(structure._PairIndex):
+        __slots__ = ()
+
+        def __missing__(self, a):
+            built.append(a)
+            return super().__missing__(a)
+
+    monkeypatch.setattr(structure, "_PairIndex", Recording)
+    return built
+
+
+def test_check_bouquet_on_a_rough_file_builds_few_maps(built_maps):
+    # ii) is met at vertex 0 and iii) at its first later neighbour, so the
+    # report needs the maps of two of the 800 vertices
+    H = gen_gnp(800, 4, 5000 / math.comb(800, 4), stream(1, "struct-rough"))
+    assert check_bouquet(H).violated_properties() == ["ii", "iii", "iv"]
+    assert 1 <= len(built_maps) <= 2
+    assert built_maps[0] == 0
+
+
+def test_check_bouquet_on_an_edgeless_graph_builds_no_map(built_maps):
+    assert check_bouquet(LayeredHypergraph(800, 2)).holds
+    assert find_linear_three_cycles(LayeredHypergraph(800, 3)) == []
+    assert check_property_vprime(LayeredHypergraph(800, 4)) == []
+    assert built_maps == []
+
+
 # name -> (graph, what the full list is compared with: "brute" for the
 # brute-force oracle and the replay, "replay" for the replay alone, None
 # where it holds ~10^5-10^6 cycles and only prefixes are compared)
@@ -449,6 +511,21 @@ def test_local_bouquet_check_ignores_far_edges():
     assert check_bouquet_around(H, (8, 9, 10)).holds
     report = check_bouquet_around(H, (2, 3))
     assert report.to_dict() == check_bouquet(H).to_dict()
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [(), (0, 5), (0, 1, 2, 3)],
+    ids=["empty", "pair-not-an-edge", "4-set-at-k3"],
+)
+def test_local_bouquet_check_rejects_a_non_edge(edge, monkeypatch):
+    H = LayeredHypergraph(6, 3)
+    H.add_edge((0, 1, 2))
+    H.add_edge((2, 3))
+    # before any work: the ball is never taken
+    monkeypatch.setattr(LayeredHypergraph, "neighborhood", lambda *args: pytest.fail("ball taken"))
+    with pytest.raises(InvalidArguments, match="not an edge"):
+        check_bouquet_around(H, edge)
 
 
 def _anchored_vs_around(seed: int, k: int) -> set[str]:
@@ -573,6 +650,15 @@ def test_classify_not_applicable_cases():
         classify_intersecting_family([(0, 1, 2), (0, 3, 4)])
     with pytest.raises(InvalidArguments):
         classify_intersecting_family([])
+
+
+@pytest.mark.parametrize(
+    "family, edge",
+    [([(0, 0, 1)], "(0, 0, 1)"), ([(0, 0, 1), (0, 0, 2)], "(0, 0, 1)"), ([(0, 1, 2), (3, 1, 3)], "(1, 3, 3)")],
+)
+def test_classify_rejects_a_repeated_vertex(family, edge):
+    with pytest.raises(InvalidArguments, match=re.escape(f"repeated vertex in edge {edge}")):
+        classify_intersecting_family(family)
 
 
 @given(st.integers(0, 2**31 - 1))
