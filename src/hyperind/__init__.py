@@ -26,7 +26,6 @@ from .structure import (
     Classification,
     CycleWitness,
     check_bouquet,
-    check_bouquet_around,
     check_property_vprime,
     classify_intersecting_family,
     common_neighbor_max,
@@ -89,7 +88,6 @@ __all__ = [
     "Classification",
     "CycleWitness",
     "check_bouquet",
-    "check_bouquet_around",
     "check_property_vprime",
     "classify_intersecting_family",
     "common_neighbor_max",

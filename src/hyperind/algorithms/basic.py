@@ -93,8 +93,7 @@ def greedy_set(
     for x in scan:
         blocked = False
         for ref in H.incidence[x]:
-            layer, idx = ref
-            size = len(H.edge_at(layer, idx))
+            size = ref[0]  # an edge's layer is its size
             if picked_in_edge.get(ref, 0) == size - 1:
                 blocked = True
                 break

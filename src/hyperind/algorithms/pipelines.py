@@ -2,9 +2,10 @@
 
 Each pipeline samples a vertex subset, strips high-degree vertices, deletes
 short cycles, trims to a target size, and hands the residue to either the
-greedy finisher (pipeline_kminus2) or the semi-random rounds (the other two).
-All of them return a RunCertificate whose set is re-verified against the
-original input, whatever happened on the way.
+greedy finisher (pipeline_kminus2) or the semi-random rounds (the other two),
+all in one attempt loop (``_attempts``).  All of them return a
+RunCertificate whose set is re-verified against the original input,
+whatever happened on the way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .basic import greedy_set
 class PipelineConfig:
     retries: int = 16
     akpss_retries: int = 16
-    split_exponent: float | None = None  # beta in (k/(2k-2), 1); None = midpoint
     delta: float | None = None  # case-2 sampling exponent, must be < 1/(4k^2)
     trust_preconditions: bool = False
     strict_schedule: bool = False
@@ -47,10 +47,6 @@ class PipelineConfig:
     def __post_init__(self):
         check_retries("retries", self.retries)
         check_retries("akpss_retries", self.akpss_retries)
-
-
-# vertices dropped per pruning pass; the residue replays in the tests assume it
-_PRUNE_BATCH = 512
 
 
 def _check_real(name: str, value) -> None:
@@ -110,29 +106,35 @@ def _heavy_light(H: LayeredHypergraph, cut: float) -> tuple[list, list, np.ndarr
     return heavy, light, deg
 
 
-def _residue(G, seed, label, attempt, p, degree_filter, trim_target, **prune):
-    """One attempt: sample G at rate p, drop Z = degree_filter(U), prune, keep
-    the trim_target smallest survivors.  Returns (U, Z, prune_info, order,
-    res), res being G induced on order, or None when nothing survived."""
-    U = _sample(G.n, p, stream(seed, label, "sample", attempt))
-    Z = degree_filter(U)
-    survivors, prune_info = prune_short_cycles(
-        G, U - Z, batch=_PRUNE_BATCH, **prune
+def _attempts(H, G, seed, label, cfg, p, degree_filter, trim_target, finish, **prune):
+    """The attempt loop of all three reductions.  Attempt i samples G at
+    rate p, drops Z = degree_filter(U), prunes short cycles from U - Z,
+    keeps the trim_target smallest survivors and induces G on them;
+    ``finish(i, U, Z, prune_info, res)`` gets that residue, None when
+    nothing survived, and returns a set in the residue's ids or its reason
+    for refusing the residue.  The first set comes back in H's ids,
+    re-verified against H; ResidueNotBouquet after cfg.retries refusals."""
+    last_fail = ""
+    for attempt in range(cfg.retries):
+        U = _sample(G.n, p, stream(seed, label, "sample", attempt))
+        Z = degree_filter(U)
+        survivors, prune_info = prune_short_cycles(G, U - Z, **prune)
+        order = sorted(survivors)
+        if len(order) > trim_target > 0:
+            order = order[:trim_target]
+        res = G.induce(order)[0] if order else None
+        picked = finish(attempt, U, Z, prune_info, res)
+        if isinstance(picked, str):
+            last_fail = f"attempt {attempt}: {picked}"
+            continue
+        final = tuple(sorted(order[x] for x in picked))
+        ok, witness = H.is_independent(final)
+        if not ok:
+            raise AssertionError(f"residue set spans an input edge: {witness}")
+        return final
+    raise ResidueNotBouquet(
+        f"no acceptable residue after {cfg.retries} attempts: {last_fail}"
     )
-    order = sorted(survivors)
-    if len(order) > trim_target > 0:
-        order = order[:trim_target]
-    res = G.induce(order)[0] if order else None
-    return U, Z, prune_info, order, res
-
-
-def _map_back(H: LayeredHypergraph, order: list[int], picked, what: str) -> tuple[int, ...]:
-    """A residue set in H's ids, re-verified against H."""
-    final = tuple(sorted(order[x] for x in picked))
-    ok, witness = H.is_independent(final)
-    if not ok:
-        raise AssertionError(f"{what}: {witness}")
-    return final
 
 
 def pipeline_kminus2(
@@ -158,13 +160,7 @@ def pipeline_kminus2(
     if ratio <= 1:
         warnings.append(f"n/d = {ratio:.3f} <= 1, the reduction degenerates")
 
-    beta = cfg.split_exponent
-    if beta is None:
-        beta = (3 * k - 2) / (4 * k - 4)
-    if not (k / (2 * k - 2) < beta < 1):
-        raise InvalidArguments(
-            f"split_exponent must lie in ({k / (2 * k - 2):.4f}, 1), got {beta}"
-        )
+    beta = (3 * k - 2) / (4 * k - 4)  # the split exponent, inside (k/(2k-2), 1)
 
     p = min(1.0, n ** (-(2 * k - 5) / (2 * k - 3)) * d ** (-2 / (2 * k - 3)))
     M = ratio ** (2 / (2 * k - 3))
@@ -183,19 +179,12 @@ def pipeline_kminus2(
         deg_u = _degrees_within(H, U).get(k, {})
         return set(v for v in U if deg_u.get(v, 0) >= heavy_cut)
 
-    last_fail = ""
-    for attempt in range(cfg.retries):
-        U, ustar, prune_info, order, res = _residue(
-            H, seed, "kminus2", attempt, p, heavy_vertices, m_target,
-            two_ells=tuple(range(2, k - 1)), linear3=False, clean4=False,
-        )
-        if len(order) < m_target:
-            warnings.append(f"residue {len(order)} below the trim target {m_target}")
+    def split_and_greedy(attempt, U, ustar, prune_info, res):
+        m = res.n if res is not None else 0
+        if m < m_target:
+            warnings.append(f"residue {m} below the trim target {m_target}")
         if res is None:
-            last_fail = f"attempt {attempt}: nothing survived the pruning"
-            continue
-
-        m = res.n
+            return "nothing survived the pruning"
         if m <= 1:
             theta = float(k + 2)
         else:
@@ -205,14 +194,8 @@ def pipeline_kminus2(
         G = LayeredHypergraph(m, k)
         G._extend_layer(k - 1, heavy)
         G._extend_layer(k, light)
-
-        final = _map_back(
-            H, order, greedy_set(G), "split residue produced a spanned edge"
-        )
-
         g2only = LayeredHypergraph(m, k)
         g2only._extend_layer(k, light)
-        split_checks = _split_hypotheses(G, g2only, m, k, beta, heavy)
         diag.update(
             {
                 "attempt": attempt,
@@ -226,18 +209,21 @@ def pipeline_kminus2(
                 "residue_two_cycles": {
                     ell: count_two_cycles(res, ell) for ell in range(2, k - 1)
                 },
-                "split_hypotheses": split_checks,
+                "split_hypotheses": _split_hypotheses(G, g2only, m, k, beta, heavy),
             }
         )
-        return RunCertificate(
-            algorithm="pipeline_kminus2",
-            independent_set=final,
-            verified=True,
-            diagnostics=diag,
-            warnings=warnings,
-        )
-    raise ResidueNotBouquet(
-        f"no usable residue after {cfg.retries} attempts: {last_fail}"
+        return greedy_set(G)
+
+    final = _attempts(
+        H, H, seed, "kminus2", cfg, p, heavy_vertices, m_target, split_and_greedy,
+        two_ells=tuple(range(2, k - 1)),
+    )
+    return RunCertificate(
+        algorithm="pipeline_kminus2",
+        independent_set=final,
+        verified=True,
+        diagnostics=diag,
+        warnings=warnings,
     )
 
 
@@ -482,34 +468,21 @@ def _rounds_on_residue(
     top_cap: float | None = None,
     record_top: bool = False,
 ) -> RunCertificate:
-    """The attempt loop of the two degree-gap reductions: accept a residue
+    """The two degree-gap reductions after their set-up: accept a residue
     when check_bouquet holds and its (k-1)-set degrees stay at most top_cap
-    (if set), run the semi-random rounds on it, map back to H."""
+    (if set), and run the semi-random rounds on it."""
     k = H.k
-    last_fail = ""
-    for attempt in range(cfg.retries):
-        U, Z, prune_info, order, res = _residue(
-            G, seed, label, attempt, p, degree_filter, trim_target,
-            two_ells=two_ells, linear3=True, clean4=clean4,
-        )
+
+    def rounds(attempt, U, Z, prune_info, res):
         if res is None:
-            last_fail = f"attempt {attempt}: nothing survived the pruning"
-            continue
+            return "nothing survived the pruning"
         report = check_bouquet(res)
         if not report.holds:
-            last_fail = (
-                f"attempt {attempt}: residue violates "
-                f"{sorted(report.violated_properties())}"
-            )
-            continue
+            return f"residue violates {sorted(report.violated_properties())}"
         if top_cap is not None:
             top = res.max_min_degree(k, k - 1)[0]
             if top > top_cap:
-                last_fail = (
-                    f"attempt {attempt}: residue ({k - 1})-set degree {top} "
-                    f"above {top_cap:.4f}"
-                )
-                continue
+                return f"residue ({k - 1})-set degree {top} above {top_cap:.4f}"
 
         sched = build_schedule(max(1, res.n), T, k, strict=cfg.strict_schedule)
         warnings.extend(sched.warnings)
@@ -519,9 +492,6 @@ def _rounds_on_residue(
             spawn_key(seed, label, "akpss", attempt),
             retries_per_round=cfg.akpss_retries,
             check_input=False,
-        )
-        final = _map_back(
-            H, order, inner.independent_set, "residue set spans an input edge"
         )
         diag.update(
             {
@@ -538,14 +508,17 @@ def _rounds_on_residue(
             }
         )
         warnings.extend(inner.warnings)
-        return RunCertificate(
-            algorithm=algorithm,
-            independent_set=final,
-            verified=True,
-            rounds=inner.rounds,
-            diagnostics=diag,
-            warnings=warnings,
-        )
-    raise ResidueNotBouquet(
-        f"no acceptable residue after {cfg.retries} attempts: {last_fail}"
+        return inner.independent_set
+
+    final = _attempts(
+        H, G, seed, label, cfg, p, degree_filter, trim_target, rounds,
+        two_ells=two_ells, linear3=True, clean4=clean4,
+    )
+    return RunCertificate(
+        algorithm=algorithm,
+        independent_set=final,
+        verified=True,
+        rounds=diag["rounds"],
+        diagnostics=diag,
+        warnings=warnings,
     )

@@ -245,14 +245,25 @@ class LayeredHypergraph:
         return {i: len(self.layers[i]) for i in range(2, self.k + 1)}
 
     def has_edge(self, vertices) -> bool:
-        edge = tuple(sorted(vertices))
-        size = len(edge)
-        if size < 2 or size > self.k:
-            return False
-        return edge in self._edge_sets[size]
+        """Whether the vertex set is an edge; ids that cannot be sorted and
+        hashed raise InvalidVertex, and ids outside 0..n-1 are in no edge."""
+        try:
+            edge = tuple(sorted(vertices))
+            return 2 <= len(edge) <= self.k and edge in self._edge_sets[len(edge)]
+        except TypeError as exc:
+            raise InvalidVertex(f"vertex ids must be integers: {exc}") from None
 
     def edge_at(self, layer: int, idx: int) -> Edge:
-        return self.layers[layer][idx]
+        """Edge number idx of one layer; InvalidArguments for a layer
+        outside 2..k or an idx outside 0..len-1."""
+        check_integer("layer", layer)
+        check_integer("idx", idx)
+        if layer not in self.layers:
+            raise InvalidArguments(f"layer {layer} outside 2..{self.k}")
+        edges = self.layers[layer]
+        if not 0 <= idx < len(edges):
+            raise InvalidArguments(f"idx {idx} outside 0..{len(edges) - 1} of layer {layer}")
+        return edges[idx]
 
     def deg(self, vertices) -> int:
         """Number of edges (all layers) containing every vertex of the set.
@@ -347,6 +358,7 @@ class LayeredHypergraph:
         radius 0 returns the set itself; radius r applies the closed
         neighborhood r times.
         """
+        check_integer("radius", radius)
         if radius < 0:
             raise InvalidArguments("radius must be nonnegative")
         current = _vertex_ids(vertices, self.n)

@@ -159,18 +159,11 @@ def gen_girth5(
     H = gen_gnp(n, k, p, rng)
     initial = H.num_edges()
 
-    keep, info2 = prune_short_cycles(
-        H, set(range(n)), two_ells=tuple(range(2, k)), batch=batch
-    )
-    H2, _ = H.induce(sorted(keep))
-    keep3, info3 = prune_short_cycles(
-        H2, set(range(H2.n)), linear3=True, batch=batch
-    )
-    H3, _ = H2.induce(sorted(keep3))
-    keep4, info4 = prune_short_cycles(
-        H3, set(range(H3.n)), clean4=True, batch=batch
-    )
-    H4, _ = H3.induce(sorted(keep4))
+    # each stage prunes the graph H induces on the previous stage's survivors
+    keep, info2 = prune_short_cycles(H, set(range(n)), two_ells=tuple(range(2, k)), batch=batch)
+    keep, info3 = prune_short_cycles(H, keep, linear3=True, batch=batch)
+    keep, info4 = prune_short_cycles(H, keep, clean4=True, batch=batch)
+    H4, _ = H.induce(sorted(keep))
 
     report = check_bouquet(H4)
     leftovers = (

@@ -59,7 +59,6 @@ __all__ = [
     "find_linear_three_cycles",
     "find_clean_four_cycles",
     "check_bouquet",
-    "check_bouquet_around",
     "check_property_vprime",
     "link_components",
     "classify_intersecting_family",
@@ -483,55 +482,14 @@ def check_bouquet(H: LayeredHypergraph) -> BouquetReport:
     return BouquetReport(holds=not violations, violations=violations)
 
 
-def check_bouquet_around(H: LayeredHypergraph, edge) -> BouquetReport:
-    """``check_bouquet`` restricted to the edges inside the radius-2 ball of
-    one edge of H; witnesses carry H's vertex ids.
-
-    Each of conditions i)-v) forbids a set of 2, 3 or 4 edges, decided by
-    those edges alone.  If H minus ``edge`` satisfies all five, every
-    forbidden set of H contains ``edge`` and lies inside N^2(edge): partners
-    in i), ii), iii) and v) meet ``edge``, and the edge opposite ``edge`` in
-    a clean 4-cycle meets a partner.  The restricted check then sees exactly
-    the forbidden sets of the whole graph, so it gives the same report as
-    ``check_bouquet(H)``.  Without that precondition it may miss violations.
-
-    This is the local report, with witnesses; a yes-or-no answer for a
-    candidate edge comes cheaper from ``_closes_violation``, which the
-    tests hold to this report.  Anything but an edge of H raises
-    InvalidArguments before any work.
-    """
-    try:
-        known = H.has_edge(edge)
-    except TypeError:  # not a collection of comparable, hashable ids
-        known = False
-    if not known:
-        raise InvalidArguments(f"{edge!r} is not an edge of the hypergraph")
-    ball = sorted(H.neighborhood(edge, 2))
-    old_to_new = {v: i for i, v in enumerate(ball)}
-    keys: set[tuple[int, int]] = set()
-    for v in ball:
-        keys.update(H.incidence[v])
-    sub = LayeredHypergraph(len(ball), H.k)
-    for layer, idx in sorted(keys):
-        e = H.layers[layer][idx]
-        if all(v in old_to_new for v in e):
-            sub.add_edge(tuple(old_to_new[v] for v in e))
-    report = check_bouquet(sub)
-    # the relabeling keeps vertex order, and with it the order in which the
-    # detectors meet their witnesses, so only the ids need mapping back
-    for _, w in report.violations:
-        w.edges = [(layer, tuple(ball[v] for v in e)) for layer, e in w.edges]
-        w.meeting = tuple(ball[v] for v in w.meeting)
-    return report
-
-
 def _closes_violation(H: LayeredHypergraph, e: Edge) -> bool:
     """Whether H plus the new edge ``e``, a sorted tuple of vertex ids of H
     not yet in H, breaks one of conditions i)-v), given that H satisfies
     all five.
 
-    As in ``check_bouquet_around``, every forbidden set of H + e then
-    contains e, so only those are enumerated, straight from ``H.incidence``:
+    Each of conditions i)-v) forbids a set of 2, 3 or 4 edges, decided by
+    those edges alone.  H is clean, so every forbidden set of H + e contains
+    e, and only those are enumerated, straight from ``H.incidence``:
     the partners of e (edges meeting it, counted with the number of
     vertices they share with it) decide i), ii) and v); pairs of partners
     through one vertex outside e decide iii); and iv) tags each edge

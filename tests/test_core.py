@@ -223,6 +223,21 @@ def test_link_and_neighborhoods():
     assert H.neighborhood({0}, 2) == {0, 1, 2, 3, 4, 5, 6}
 
 
+@pytest.mark.parametrize("radius", [2.5, True, "1", None, -1])
+def test_neighborhood_checks_radius(radius):
+    with pytest.raises(InvalidArguments, match="radius"):
+        small_graph().neighborhood({0}, radius)
+
+
+def test_edge_at_checks_layer_and_index():
+    H = small_graph()
+    assert H.edge_at(3, 1) == (0, 2, 5)
+    assert H.edge_at(np.int64(4), np.int64(0)) == (3, 4, 5, 6)
+    for layer, idx in ((1, 0), (5, 0), (3, 2), (3, -1), (2, 1), (3, 1.0), (True, 0)):
+        with pytest.raises(InvalidArguments):
+            H.edge_at(layer, idx)
+
+
 def test_distance():
     H = small_graph()
     assert H.distance(0, 0) == 0
@@ -295,6 +310,14 @@ def test_queries_reject_non_integer_ids(query):
             QUERIES[query](H, bad)
     # index-like ids answer as plain ints do
     assert QUERIES[query](H, np.int64(0)) == QUERIES[query](H, 0)
+
+
+@pytest.mark.parametrize("bad", [5, None, [1, "a"], [[0], [1]]], ids=["int", "none", "mixed", "unhashable"])
+def test_has_edge_rejects_ids_it_cannot_sort(bad):
+    H = small_graph()
+    with pytest.raises(InvalidVertex):
+        H.has_edge(bad)
+    assert not H.has_edge((0, 99))  # an id outside 0..n-1 is in no edge
 
 
 def test_contract_multiplicity_and_nesting():

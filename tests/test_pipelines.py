@@ -129,11 +129,6 @@ def test_kminus2_argument_checks():
     H = gnp4(100, 10, seed=3)
     with pytest.raises(InvalidArguments):
         pipeline_kminus2(H, 0.0, 1)
-    for beta in (0.5, 1.0, 1.5):
-        with pytest.raises(InvalidArguments):
-            pipeline_kminus2(
-                H, 4.0, 1, config=PipelineConfig(split_exponent=beta)
-            )
 
 
 def test_kminus2_degree_precondition():

@@ -13,7 +13,6 @@ from hyperind.rng import stream
 from hyperind.structure import (
     _closes_violation,
     check_bouquet,
-    check_bouquet_around,
     check_property_vprime,
     classify_intersecting_family,
     common_neighbor_max,
@@ -465,74 +464,11 @@ def _near_candidate(H: LayeredHypergraph, edges: list, rng) -> tuple:
     return tuple(sorted(int(v) for v in rng.choice(sorted(pool), size=size, replace=False)))
 
 
-def _local_vs_whole(seed: int, k: int) -> set[str]:
-    """Grow a clean instance with the whole-graph check, then try candidate
-    edges near its edges (``_near_candidate``).  The local check must give
-    the whole-graph report for each; returns the properties they violated."""
-    rng = stream(seed, "struct-local", k)
-    counts = {i: int(rng.integers(0, 13)) for i in range(2, k + 1)}
-    H, _ = replay_layered_bouquet(24, k, counts, rng, max_stall=40)
-    edges = [e for _, e in H.edges()]
-    violated: set[str] = set()
-    for _ in range(8 if edges else 0):
-        e = _near_candidate(H, edges, rng)
-        if not H.add_edge(e):
-            continue
-        local = check_bouquet_around(H, e)
-        whole = check_bouquet(H)
-        assert local.holds == whole.holds
-        assert local.to_dict() == whole.to_dict()
-        violated.update(whole.violated_properties())
-        H.pop_edge(len(e))
-    return violated
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(2, 4))
-@settings(max_examples=60, deadline=None)
-def test_local_bouquet_check_matches_whole_graph(seed, k):
-    _local_vs_whole(seed, k)
-
-
-def test_local_bouquet_check_sees_every_property():
-    violated = set()
-    for k in (2, 3, 4):
-        for seed in range(12):
-            violated |= _local_vs_whole(seed, k)
-    assert violated == {"i", "ii", "iii", "iv", "v"}
-
-
-def test_local_bouquet_check_ignores_far_edges():
-    H = LayeredHypergraph(12, 3)
-    for e in ((0, 1), (1, 2), (2, 3), (3, 0)):  # a clean 4-cycle
-        H.add_edge(e)
-    H.add_edge((8, 9, 10))
-    assert not check_bouquet(H).holds
-    # (8, 9, 10) is far from the cycle, so only its own ball is checked
-    assert check_bouquet_around(H, (8, 9, 10)).holds
-    report = check_bouquet_around(H, (2, 3))
-    assert report.to_dict() == check_bouquet(H).to_dict()
-
-
-@pytest.mark.parametrize(
-    "edge",
-    [(), (0, 5), (0, 1, 2, 3)],
-    ids=["empty", "pair-not-an-edge", "4-set-at-k3"],
-)
-def test_local_bouquet_check_rejects_a_non_edge(edge, monkeypatch):
-    H = LayeredHypergraph(6, 3)
-    H.add_edge((0, 1, 2))
-    H.add_edge((2, 3))
-    # before any work: the ball is never taken
-    monkeypatch.setattr(LayeredHypergraph, "neighborhood", lambda *args: pytest.fail("ball taken"))
-    with pytest.raises(InvalidArguments, match="not an edge"):
-        check_bouquet_around(H, edge)
-
-
 def _anchored_vs_around(seed: int, k: int) -> set[str]:
     """Grow a clean mixed-layer instance with the whole-graph check, then
     try candidates near its edges (``_near_candidate``).  For each new one
-    the anchored test must say whether the local report of the graph with
-    it fails; returns the properties behind its rejections."""
+    the anchored test must say whether the whole-graph report of the graph
+    with it fails; returns the properties behind its rejections."""
     rng = stream(seed, "struct-anchored", k)
     counts = {i: int(rng.integers(0, 13)) for i in range(2, k + 1)}
     H, _ = replay_layered_bouquet(24, k, counts, rng, max_stall=40)
@@ -544,7 +480,7 @@ def _anchored_vs_around(seed: int, k: int) -> set[str]:
             continue
         closes = _closes_violation(H, e)
         H.add_edge(e)
-        report = check_bouquet_around(H, e)
+        report = check_bouquet(H)
         H.pop_edge(len(e))
         assert closes == (not report.holds)
         rejected.update(report.violated_properties())
