@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import LayeredHypergraph, _vertex_ids, check_integer, contract
+from ..core import LayeredHypergraph, _as_vertex, _vertex_ids, check_integer, contract
 from ..errors import InvalidArguments, PreconditionFailed, RoundCollapsed
 from ..rng import stream
 from ..schedule import Schedule
@@ -36,12 +36,6 @@ from .regular import almost_regular_complete, cap_excess
 
 # attempts per round here, and per residue in the pipelines
 MAX_RETRIES = 1_000
-
-
-def check_retries(name: str, value: int) -> None:
-    check_integer(name, value)
-    if not 1 <= value <= MAX_RETRIES:
-        raise InvalidArguments(f"{name} must lie in 1..{MAX_RETRIES}, got {value}")
 
 
 def deg_i_to_j(
@@ -58,11 +52,13 @@ def deg_i_to_j(
     These are the edges that contract to a j-edge at x when the sampled
     vertices are folded away.
     """
+    if type(x) is not int or not (0 <= x < H.n):
+        _as_vertex(x, H.n)
     count = 0
     for layer, idx in H.incidence[x]:
         if layer != i:
             continue
-        rest = [v for v in H.edge_at(layer, idx) if v != x]
+        rest = [v for v in H.layers[layer][idx] if v != x]
         in_v = 0
         ok = True
         for v in rest:
@@ -78,6 +74,8 @@ def deg_i_to_j(
 
 def mu_i_to_j(H: LayeredHypergraph, x: int, p: float, i: int, j: int) -> float:
     """Expected i->j contraction count at x: C(i-1, j-1) deg_i(x) p^(i-j) e^(1-j)."""
+    if type(x) is not int or not (0 <= x < H.n):
+        _as_vertex(x, H.n)
     deg = sum(1 for layer, _ in H.incidence[x] if layer == i)
     return math.comb(i - 1, j - 1) * deg * p ** (i - j) * math.e ** (1 - j)
 
@@ -295,7 +293,7 @@ def akpss_run(
     attempts the attempt with the largest harvest wins.  Streams are derived
     from (seed, "round", m, "attempt", a), so runs are reproducible.
     """
-    check_retries("retries_per_round", retries_per_round)
+    check_integer("retries_per_round", retries_per_round, 1, MAX_RETRIES)
     warnings: list[str] = []
     if check_input:
         report = check_bouquet(H)

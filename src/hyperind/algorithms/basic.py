@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LayeredHypergraph
+from ..core import LayeredHypergraph, check_integer
 from ..errors import InvalidArguments
 
 GREEDY_ORDERS = ("mindegree", "random")
@@ -28,8 +28,7 @@ def spencer_set(
     largest uniformity that actually carries edges.  With d = 0 the whole
     vertex set is independent and is returned as-is.
     """
-    if not 20 <= samples <= MAX_SAMPLES:
-        raise InvalidArguments(f"samples must lie in 20..{MAX_SAMPLES}, got {samples}")
+    check_integer("samples", samples, 20, MAX_SAMPLES)
     n = H.n
     if n == 0:
         return ()

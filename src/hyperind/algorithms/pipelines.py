@@ -11,13 +11,12 @@ whatever happened on the way.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from ..core import LayeredHypergraph
+from ..core import LayeredHypergraph, check_integer, check_real
 from ..errors import (
     InvalidArguments,
     PreconditionFailed,
@@ -32,27 +31,18 @@ from ..structure import (
     find_clean_four_cycles,
     prune_short_cycles,
 )
-from .akpss import RunCertificate, akpss_run, check_retries
+from .akpss import MAX_RETRIES, RunCertificate, akpss_run
 from .basic import greedy_set
 
 
 @dataclass
 class PipelineConfig:
-    retries: int = 16
-    akpss_retries: int = 16
-    delta: float | None = None  # case-2 sampling exponent, must be < 1/(4k^2)
+    retries: int = 16  # a reduction's attempts, and the rounds' retries per round
     trust_preconditions: bool = False
     strict_schedule: bool = False
 
     def __post_init__(self):
-        check_retries("retries", self.retries)
-        check_retries("akpss_retries", self.akpss_retries)
-
-
-def _check_real(name: str, value) -> None:
-    """InvalidArguments unless ``value`` is a finite real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InvalidArguments(f"{name} must be a finite real number, got {value!r}")
+        check_integer("retries", self.retries, 1, MAX_RETRIES)
 
 
 def _uniform_k(H: LayeredHypergraph) -> int:
@@ -149,9 +139,7 @@ def pipeline_kminus2(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    _check_real("d", d)
-    if d <= 0:
-        raise InvalidArguments("d must be positive")
+    check_real("d", d, above=0)
     n = H.n
     warnings: list[str] = []
     if not cfg.trust_preconditions:
@@ -283,13 +271,10 @@ def pipeline_degree_gap(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    _check_real("d", d)
+    check_real("d", d, above=0)
     if epsilon is not None:
-        _check_real("epsilon", epsilon)
-    if d <= 0:
-        raise InvalidArguments("d must be positive")
-    if case not in (1, 2):
-        raise InvalidArguments(f"case must be 1 or 2, got {case}")
+        check_real("epsilon", epsilon, above=0)
+    check_integer("case", case, 1, 2)
     n = H.n
     ratio = n / d
     if ratio <= 1:
@@ -297,16 +282,12 @@ def pipeline_degree_gap(
     warnings: list[str] = []
 
     if case == 1:
-        if epsilon is None or epsilon <= 0:
-            raise InvalidArguments("case 1 needs epsilon > 0")
+        if epsilon is None:
+            raise InvalidArguments("case 1 needs epsilon")
         eps_eff = min(epsilon, 1 / (4 * k))
         delta = eps_eff / (k + 1)
     else:
-        delta = cfg.delta if cfg.delta is not None else 1 / (8 * k * k)
-        if not (0 < delta < 1 / (4 * k * k)):
-            raise InvalidArguments(
-                f"case 2 needs 0 < delta < {1 / (4 * k * k):.6f}, got {delta}"
-            )
+        delta = 1 / (8 * k * k)  # the sampling exponent, inside (0, 1/(4k^2))
         eps_eff = None
 
     heavy_cut = n ** ((k - 2) / (k - 1)) * d ** (1 / (k - 1))
@@ -389,12 +370,8 @@ def pipeline_graded_caps(
     """
     cfg = config or PipelineConfig()
     k = _uniform_k(H)
-    _check_real("t", t)
-    _check_real("epsilon", epsilon)
-    if t <= 1:
-        raise InvalidArguments(f"needs t > 1, got {t}")
-    if epsilon <= 0:
-        raise InvalidArguments("epsilon must be positive")
+    check_real("t", t, above=1)
+    check_real("epsilon", epsilon, above=0)
     n = H.n
     warnings: list[str] = []
     delta = epsilon / (4 * k)
@@ -490,7 +467,7 @@ def _rounds_on_residue(
             res,
             sched,
             spawn_key(seed, label, "akpss", attempt),
-            retries_per_round=cfg.akpss_retries,
+            retries_per_round=cfg.retries,
             check_input=False,
         )
         diag.update(

@@ -15,7 +15,7 @@ one: one cursor walks the candidates, and adding {x, y} grows N^2[x] by N[y].
 
 from __future__ import annotations
 
-from ..core import LayeredHypergraph
+from ..core import LayeredHypergraph, check_integer
 from ..errors import InvalidArguments, PreconditionFailed
 from ..structure import check_bouquet
 
@@ -43,15 +43,16 @@ def almost_regular_complete(
     exactly.
 
     vertex_caps[i] bounds deg in layer i (required for 2..k); pair_caps[i]
-    bounds the max (i-1)-set degree for i >= 3.  With check_input the input
+    bounds the max (i-1)-set degree for i >= 3, each cap an integer of at
+    least 0 (InvalidArguments otherwise).  With check_input the input
     must already satisfy the caps and the structural conditions.
     """
     pair_caps = dict(pair_caps or {})
     for i in range(2, H.k + 1):
         if i not in vertex_caps:
             raise InvalidArguments(f"vertex_caps missing layer {i}")
-        if vertex_caps[i] < 0 or pair_caps.get(i, 0) < 0:
-            raise InvalidArguments("caps must be nonnegative")
+        check_integer(f"vertex_caps[{i}]", vertex_caps[i], least=0)
+        check_integer(f"pair_caps[{i}]", pair_caps.get(i, 0), least=0)
 
     if check_input:
         report = check_bouquet(H)

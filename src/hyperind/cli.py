@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .core import read_file, write_file
-from .errors import HyperindError, InvalidArguments
+from .core import check_integer, read_file, write_file
+from .errors import HyperindError
 from .harness import ExperimentConfig, diff_reports, run_experiment
 from .rng import stream
 from .schedule import build_schedule
@@ -47,8 +47,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.limit < 1:
-        raise InvalidArguments(f"--limit must be at least 1, got {args.limit}")
+    check_integer("--limit", args.limit, least=1)
     H = read_file(args.path)
     report = check_bouquet(H)
     two = list_two_cycles(H, limit=args.limit)
@@ -110,9 +109,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_solve(args) -> int:
     H = read_file(args.path)
-    # --retries bounds the pipelines' attempts and the rounds' retries alike
-    params = dict(vars(args), akpss_retries=args.retries)
-    params = checked_params(SOLVERS, args.algorithm, params, flags=True)
+    params = checked_params(SOLVERS, args.algorithm, vars(args), flags=True)
     cert = SOLVERS[args.algorithm].run(H, params, args.seed)
     picked, algorithm = cert.independent_set, cert.algorithm
     if not cert.verified:  # every runner verifies its set against H

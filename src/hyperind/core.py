@@ -62,10 +62,28 @@ MAX_FILE_VERTICES = 10**7
 MAX_FILE_UNIFORMITY = 64
 
 
-def check_integer(name: str, value) -> None:
-    """InvalidArguments unless ``value`` is an integer; a bool is not one."""
+def check_integer(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """InvalidArguments unless ``value`` is an integer in least..most; a bool
+    is not one, and an end left None is open."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidArguments(f"{name} must be an integer, got {value!r}")
+    if (least is not None and value < least) or (most is not None and value > most):
+        span = f"{'' if least is None else least}..{'' if most is None else most}"
+        raise InvalidArguments(f"{name} must lie in {span}, got {value}")
+
+
+def check_real(name: str, value, above: float | None = None) -> None:
+    """InvalidArguments unless ``value`` is a finite real number, greater
+    than ``above`` when that is given; a bool is not one, nor an integer
+    beyond the range of a float."""
+    try:
+        real = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        real = False
+    if not real:
+        raise InvalidArguments(f"{name} must be a finite real number, got {value!r}")
+    if above is not None and value <= above:
+        raise InvalidArguments(f"{name} must exceed {above}, got {value!r}")
 
 
 def _as_vertex(v, n: int) -> int:
@@ -130,10 +148,8 @@ class LayeredHypergraph:
     __slots__ = ("n", "k", "layers", "_edge_sets", "incidence", "_runs")
 
     def __init__(self, n: int, k: int):
-        check_integer("n", n)
+        check_integer("n", n, least=0)
         check_integer("k", k)
-        if n < 0:
-            raise InvalidArguments(f"n must be nonnegative, got {n}")
         if k < 2:
             raise InvalidUniformity(f"k must be at least 2, got {k}")
         self.n = n
@@ -256,13 +272,9 @@ class LayeredHypergraph:
     def edge_at(self, layer: int, idx: int) -> Edge:
         """Edge number idx of one layer; InvalidArguments for a layer
         outside 2..k or an idx outside 0..len-1."""
-        check_integer("layer", layer)
-        check_integer("idx", idx)
-        if layer not in self.layers:
-            raise InvalidArguments(f"layer {layer} outside 2..{self.k}")
+        check_integer("layer", layer, 2, self.k)
         edges = self.layers[layer]
-        if not 0 <= idx < len(edges):
-            raise InvalidArguments(f"idx {idx} outside 0..{len(edges) - 1} of layer {layer}")
+        check_integer("idx", idx, 0, len(edges) - 1)
         return edges[idx]
 
     def deg(self, vertices) -> int:
@@ -299,12 +311,8 @@ class LayeredHypergraph:
         InvalidArguments : layer or ell not an integer, layer outside 2..k
             or ell not in 0..layer-1
         """
-        check_integer("layer", layer)
-        check_integer("ell", ell)
-        if layer not in self.layers:
-            raise InvalidArguments(f"layer {layer} outside 2..{self.k}")
-        if not (0 <= ell < layer):
-            raise InvalidArguments(f"ell={ell} must satisfy 0 <= ell < {layer}")
+        check_integer("layer", layer, 2, self.k)
+        check_integer("ell", ell, 0, layer - 1)
         edges = self.layers[layer]
         if not edges:
             return (0, 0)
@@ -358,9 +366,7 @@ class LayeredHypergraph:
         radius 0 returns the set itself; radius r applies the closed
         neighborhood r times.
         """
-        check_integer("radius", radius)
-        if radius < 0:
-            raise InvalidArguments("radius must be nonnegative")
+        check_integer("radius", radius, least=0)
         current = _vertex_ids(vertices, self.n)
         for _ in range(radius):
             nxt = set(current)

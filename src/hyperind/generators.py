@@ -12,16 +12,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .core import LayeredHypergraph, check_integer
+from .core import LayeredHypergraph, check_integer, check_real
 from .errors import InvalidArguments
 from .structure import (
     _closes_violation,
     check_bouquet,
-    check_limit,
     find_clean_four_cycles,
     find_linear_three_cycles,
     list_two_cycles,
@@ -90,14 +88,11 @@ def gen_gnp(
     saved before it, this time only up to that value, so ``rng`` ends where
     one-at-a-time draws leave it, whatever its bit generator.
     """
-    check_integer("n", n)
-    check_integer("k", k)
-    if k < 2:
-        raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    if n < 0:
-        raise InvalidArguments(f"n must be nonnegative, got {n}")
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (0.0 <= p <= 1.0):
-        raise InvalidArguments(f"p must be a number in [0, 1], got {p!r}")
+    check_integer("n", n, least=0)
+    check_integer("k", k, least=2)
+    check_real("p", p)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidArguments(f"p must lie in 0..1, got {p!r}")
     H = LayeredHypergraph(n, k)
     total = math.comb(n, k)
     if total == 0 or p == 0.0:
@@ -147,13 +142,11 @@ def gen_girth5(
     The expected cycle counts scale with powers of t alone, which keeps the
     deletion stage small even for large n.
     """
-    check_integer("n", n)
-    check_integer("k", k)
-    if k < 2:
-        raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not (math.isfinite(t) and t > 0):
-        raise InvalidArguments(f"t must be finite and positive, got {t!r}")
-    check_limit("batch", batch, 1)
+    check_integer("n", n, least=0)
+    check_integer("k", k, least=2)
+    check_real("t", t, above=0)
+    if batch is not None:
+        check_integer("batch", batch, least=1)
     # with n < k there is no k-set to draw, and the stages find nothing
     p = min(1.0, t ** (k - 1) / math.comb(n - 1, k - 1)) if n >= k else 0.0
     H = gen_gnp(n, k, p, rng)
@@ -194,14 +187,9 @@ def gen_disjoint_cliques(n: int, k: int, s: int) -> tuple[LayeredHypergraph, dic
     The optimum is known exactly: each clique of size s >= k contributes
     k - 1 vertices, smaller blocks and leftovers contribute everything.
     """
-    for name, value in (("n", n), ("k", k), ("s", s)):
-        check_integer(name, value)
-    if k < 2:
-        raise InvalidArguments(f"uniformity must be at least 2, got {k}")
-    if s < 1:
-        raise InvalidArguments(f"block size must be at least 1, got {s}")
-    if n < 0:
-        raise InvalidArguments(f"n must be nonnegative, got {n}")
+    check_integer("n", n, least=0)
+    check_integer("k", k, least=2)
+    check_integer("s", s, least=1)
     blocks = n // s
     if s >= k and blocks * math.comb(s, k) > MAX_EXPECTED_EDGES:
         raise InvalidArguments("requested clique family is too large")
@@ -247,24 +235,16 @@ def gen_layered_bouquet(
     graph is clean before the candidate comes, so any violation has to go
     through the candidate.
     """
-    check_integer("n", n)
-    check_integer("k", k)
-    if k < 2:
-        raise InvalidArguments(f"uniformity must be at least 2, got {k}")
+    check_integer("n", n, least=0)
+    check_integer("k", k, least=2)
     vertex_caps = dict(vertex_caps or {})
     for name, table in (("counts", counts), ("vertex_caps", vertex_caps)):
         for i, value in table.items():
-            check_integer(f"{name} layer", i)
-            if not (2 <= i <= k):
-                raise InvalidArguments(f"{name} layer {i} outside 2..{k}")
-            check_integer(f"{name}[{i}]", value)
-            if value < 0:
-                raise InvalidArguments(f"{name}[{i}] must be nonnegative")
+            check_integer(f"{name} layer", i, 2, k)
+            check_integer(f"{name}[{i}]", value, least=0)
     # no None: without a stall limit a layer that cannot reach its target
     # would never end
-    check_integer("max_stall", max_stall)
-    if max_stall < 1:
-        raise InvalidArguments(f"max_stall must be at least 1, got {max_stall}")
+    check_integer("max_stall", max_stall, least=1)
     H = LayeredHypergraph(n, k)
     achieved = {i: 0 for i in sorted(counts)}
     stalled: list[int] = []

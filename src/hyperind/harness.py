@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import LayeredHypergraph, read_file
+from .core import LayeredHypergraph, check_integer, read_file
 from .errors import HyperindError, InvalidArguments, OutOfDomain, SchemaError
 from .rng import spawn_key, stream
 from .schedule import reference_bound
@@ -64,9 +64,8 @@ class ExperimentConfig:
         unknown = set(data) - required - {"generator_params"}
         if unknown:
             raise InvalidArguments(f"config has unknown keys {sorted(unknown)}")
-        for key in ("seed", "trials"):
-            if type(data[key]) is not int:
-                raise InvalidArguments(f"{key} must be an integer, got {data[key]!r}")
+        check_integer("seed", data["seed"])
+        check_integer("trials", data["trials"], least=1)
         specs = data["algorithms"]
         if not isinstance(specs, list) or not all(isinstance(a, dict) for a in specs):
             raise InvalidArguments(f"algorithms must be a list of objects, got {specs!r}")
@@ -80,8 +79,6 @@ class ExperimentConfig:
         )
         if not cfg.name or Path(cfg.name).name != cfg.name or "\0" in cfg.name:
             raise InvalidArguments(f"name must be a plain file name, got {cfg.name!r}")
-        if cfg.trials < 1:
-            raise InvalidArguments(f"trials must be positive, got {cfg.trials}")
         if cfg.generator not in GENERATORS:
             raise InvalidArguments(
                 f"unknown generator {cfg.generator!r}; choose from {GENERATORS}"
@@ -90,6 +87,8 @@ class ExperimentConfig:
         for spec in cfg.algorithms:
             if "algorithm" not in spec:
                 raise InvalidArguments(f"algorithm spec {spec} lacks 'algorithm'")
+            if set(spec) - {"algorithm", "params"}:
+                raise InvalidArguments(f"algorithm spec {spec} has keys other than 'algorithm' and 'params'")
             if spec["algorithm"] not in ALGORITHMS:
                 raise InvalidArguments(
                     f"unknown algorithm {spec['algorithm']!r}; "

@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .core import check_integer
+
 __all__ = ["stream", "spawn_key"]
 
 
@@ -25,16 +27,19 @@ def spawn_key(seed: int | tuple[int, ...], *path: str | int) -> tuple[int, ...]:
     """Entropy tuple for a (seed, label path) pair; ints pass through verbatim.
 
     A previously spawned key may be used as the seed, so derivation composes:
-    spawn_key(spawn_key(s, "a"), "b") == spawn_key(s, "a", "b").
+    spawn_key(spawn_key(s, "a"), "b") == spawn_key(s, "a", "b").  The seed
+    (each part of a tuple seed) and every path part that is not a string
+    label must be an integer, or InvalidArguments is raised.
     """
-    if isinstance(seed, tuple):
-        key: list[int] = [int(s) & 0xFFFFFFFFFFFFFFFF for s in seed]
-    else:
-        key = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    key: list[int] = []
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        check_integer("seed", part)
+        key.append(int(part) & 0xFFFFFFFFFFFFFFFF)
     for part in path:
         if isinstance(part, str):
             key.extend(_label_words(part))
         else:
+            check_integer("path part", part)
             key.append(int(part) & 0xFFFFFFFFFFFFFFFF)
     return tuple(key)
 

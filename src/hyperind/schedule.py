@@ -20,10 +20,9 @@ the quantitative round guarantees are void there.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
-from .core import check_integer
+from .core import check_integer, check_real
 from .errors import InvalidArguments, OutOfDomain, OutOfRegime
 
 __all__ = ["Schedule", "build_schedule", "reference_bound", "REFERENCE_KINDS"]
@@ -60,22 +59,18 @@ class Schedule:
 
     def gamma_at(self, m: int) -> float:
         """gamma_m for 1 <= m <= M."""
-        if not (1 <= m <= self.M):
-            raise InvalidArguments(f"gamma index {m} outside 1..{self.M}")
+        check_integer("m", m, 1, self.M)
         return self.gamma[m - 1]
 
     def p_at(self, m: int) -> float:
         """Sampling probability of round m, p_m = gamma_m / t_{m-1}."""
-        if not (1 <= m <= self.M):
-            raise InvalidArguments(f"p index {m} outside 1..{self.M}")
+        check_integer("m", m, 1, self.M)
         return self.p[m - 1]
 
     def vertex_cap(self, m: int, i: int) -> int:
         """Layer-i vertex degree cap after m rounds (completion target)."""
-        if not (0 <= m <= self.M):
-            raise InvalidArguments(f"round {m} outside 0..{self.M}")
-        if not (2 <= i <= self.k):
-            raise InvalidArguments(f"layer {i} outside 2..{self.k}")
+        check_integer("m", m, 0, self.M)
+        check_integer("i", i, 2, self.k)
         value = (
             (1 + self.epsilon) ** m
             * math.comb(self.k - 1, self.k - i)
@@ -86,10 +81,8 @@ class Schedule:
 
     def pair_cap(self, m: int, i: int) -> int:
         """Layer-i cap on (i-1)-set degrees after m rounds."""
-        if not (0 <= m <= self.M):
-            raise InvalidArguments(f"round {m} outside 0..{self.M}")
-        if not (2 <= i <= self.k):
-            raise InvalidArguments(f"layer {i} outside 2..{self.k}")
+        check_integer("m", m, 0, self.M)
+        check_integer("i", i, 2, self.k)
         value = (1 + self.epsilon) ** m * self.t[m] / math.log(self.t[m]) ** (i + 1)
         return _round_half_up(value)
 
@@ -130,16 +123,9 @@ def build_schedule(N: int, T: float, k: int, strict: bool = False) -> Schedule:
         finite real number above 1 (log T must be positive and finite)
     OutOfRegime : strict mode and T outside [(log N)^3, N^(1/4k)]
     """
-    check_integer("N", N)
-    check_integer("k", k)
-    if isinstance(T, bool) or not isinstance(T, numbers.Real):
-        raise InvalidArguments(f"T must be a real number, got {T!r}")
-    if N < 1:
-        raise InvalidArguments(f"N must be positive, got {N}")
-    if k < 2:
-        raise InvalidArguments(f"k must be at least 2, got {k}")
-    if not (1 < T < math.inf):
-        raise InvalidArguments(f"T must be finite and exceed 1, got {T}")
+    check_integer("N", N, least=1)
+    check_integer("k", k, least=2)
+    check_real("T", T, above=1)
     warnings: list[str] = []
     logN = math.log(N)
     lo_T, hi_T = logN**3, N ** (1 / (4 * k))
@@ -196,15 +182,15 @@ def reference_bound(n: float, d_or_t: float, k: int, which: str) -> float:
     Raises
     ------
     OutOfDomain : the formula is evaluated outside its domain
-    InvalidArguments : unknown kind, or k < 2, or n <= 0
+    InvalidArguments : unknown kind, k not an integer of at least 2, n not
+        a finite real above 0, or d_or_t not a finite real
     """
-    kind = which.lower()
+    kind = which.lower() if isinstance(which, str) else which
     if kind not in REFERENCE_KINDS:
         raise InvalidArguments(f"unknown reference kind {which!r}; choose from {REFERENCE_KINDS}")
-    if k < 2:
-        raise InvalidArguments(f"k must be at least 2, got {k}")
-    if n <= 0:
-        raise InvalidArguments(f"n must be positive, got {n}")
+    check_integer("k", k, least=2)
+    check_real("n", n, above=0)
+    check_real("d_or_t", d_or_t)
     root = 1.0 / (k - 1)
     if kind == "spencer":
         if d_or_t <= 0:

@@ -4,10 +4,13 @@ and the experiment harness.
 ``SOLVERS`` maps a solver name to its runner ``(H, params, seed) ->
 RunCertificate``, the params it requires and the closed-form reference its
 reports compare against.  ``GENERATORS`` maps an instance kind to its runner
-``(params, rng) -> (H, info)`` and required params.  Params are plain dicts
-that ``checked_params`` converts and validates first, with the same rules for
-command-line flags and experiment configs; a param set to None counts as
-unset.  The runners look the algorithms up as module globals at call time.
+``(params, rng) -> (H, info)``, and each entry the params it requires and the
+optional ones it takes.  Params are plain dicts that ``checked_params``
+converts and validates first, with the same rules for command-line flags and
+experiment configs; a param set to None counts as unset, and a name the entry
+does not take is refused, except among command-line flags, whose parser holds
+the flags of every entry.  The runners look the algorithms up as module
+globals at call time.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .schedule import build_schedule
 class Entry(NamedTuple):
     run: Callable
     required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
     reference: str = ""  # solvers only: the reference_bound kind
 
 
@@ -79,12 +83,10 @@ _PARAMS = {
     "vertex_caps": _INT_MAP,
     "samples": _INT,
     "retries": _INT,
-    "akpss_retries": _INT,
     "case": _INT,
     "T": _NUMBER,
     "d": _NUMBER,
     "epsilon": _NUMBER,
-    "delta": _NUMBER,
     "path": (str, "a string"),  # read_file takes an int as a file descriptor
 }
 
@@ -98,14 +100,20 @@ def checked_params(
 ) -> dict:
     """Converted copy of params for entry ``name`` of ``table``.
 
-    Raises InvalidArguments when params is not a dict, a value has the wrong
-    type, or a required param is unset; flags=True names params the way the
-    command line spells them.
+    Raises InvalidArguments when params is not a dict, names a param the
+    entry does not take, a value has the wrong type, or a required param is
+    unset.  flags=True reads command-line flags: it skips the flags of other
+    entries and names params the way the command line spells them.
     """
     if not isinstance(params, dict):
         raise InvalidArguments(f"params of {name} must be an object, got {params!r}")
+    takes = table[name].required + table[name].optional
     out = {}
     for key, value in params.items():
+        if key not in takes:
+            if flags:
+                continue
+            raise InvalidArguments(f"{name} takes no param {key!r}; it takes {list(takes)}")
         if value is None:
             continue
         if key in _PARAMS:
@@ -152,8 +160,6 @@ def _akpss(H, params, seed):
 def _pipeline_config(params) -> PipelineConfig:
     return PipelineConfig(
         retries=params.get("retries", 16),
-        akpss_retries=params.get("akpss_retries", 16),
-        delta=params.get("delta"),
         trust_preconditions=params.get("trust_preconditions", False),
         strict_schedule=params.get("strict", False),
     )
@@ -180,13 +186,16 @@ def _appB(H, params, seed):
     )
 
 
+# the optional params of the rounds and of the three reductions
+_ROUNDS = ("retries", "trust_preconditions", "strict")
+
 SOLVERS = {
-    "greedy": Entry(_greedy, (), "spencer"),
-    "spencer": Entry(_spencer, (), "spencer"),
-    "akpss": Entry(_akpss, ("T",), "main"),
-    "pkm2": Entry(_pkm2, ("d",), "loglog"),
-    "appA": Entry(_appA, ("d",), "log"),
-    "appB": Entry(_appB, ("t", "epsilon"), "main"),
+    "greedy": Entry(_greedy, (), ("order",), "spencer"),
+    "spencer": Entry(_spencer, (), ("samples",), "spencer"),
+    "akpss": Entry(_akpss, ("T",), _ROUNDS, "main"),
+    "pkm2": Entry(_pkm2, ("d",), _ROUNDS, "loglog"),
+    "appA": Entry(_appA, ("d",), ("case", "epsilon", *_ROUNDS), "log"),
+    "appB": Entry(_appB, ("t", "epsilon"), _ROUNDS, "main"),
 }
 
 
@@ -219,5 +228,5 @@ GENERATORS = {
     "gnp": Entry(_gnp, ("n", "k", "p")),
     "girth5": Entry(_girth5, ("n", "k", "t")),
     "cliques": Entry(_cliques, ("n", "k", "s")),
-    "bouquet": Entry(_bouquet, ("n", "k", "counts")),
+    "bouquet": Entry(_bouquet, ("n", "k", "counts"), ("vertex_caps",)),
 }

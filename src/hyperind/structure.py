@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LayeredHypergraph, check_integer, subset_runs
+from .core import LayeredHypergraph, _vertex_ids, check_integer, subset_runs
 from .errors import InvalidArguments
 
 __all__ = [
@@ -192,19 +192,10 @@ def _shared_buckets(H: LayeredHypergraph, ell: int) -> dict[Edge, list[EdgeKey]]
     }
 
 
-def check_limit(name: str, value: int | None, least: int) -> None:
-    """InvalidArguments unless ``value`` is None (no cap) or an integer of at
-    least ``least``."""
-    if value is None:
-        return
-    check_integer(name, value)
-    if value < least:
-        raise InvalidArguments(f"{name} must be None or at least {least}, got {value}")
-
-
 def _take(stream, limit: int | None) -> list:
     """The first ``limit`` items of a witness stream; ``None`` takes all."""
-    check_limit("limit", limit, 0)
+    if limit is not None:
+        check_integer("limit", limit, least=0)
     return list(itertools.islice(stream, limit))
 
 
@@ -244,7 +235,8 @@ def _two_cycle_iter(H: LayeredHypergraph, ell: int | None):
     pair, so ``_overlap_iter`` meets the same witnesses in the shared-subset
     index as in the buckets of every covered pair.
     """
-    check_limit("ell", ell, 2)
+    if ell is not None:
+        check_integer("ell", ell, least=2)
     return (
         CycleWitness(kind="two_cycle", ell=len(shared), edges=[ka, kb], meeting=shared)
         for ka, kb, shared in _overlap_iter(sorted(_shared_buckets(H, ell or 2).items()), ell)
@@ -629,8 +621,15 @@ def classify_intersecting_family(family) -> Classification:
     pair meeting in other than i-1 vertices, yield ``not_applicable`` with a
     witness pair.  A single edge counts as a sunflower whose core is the
     edge itself; when both descriptions fit (two edges), sunflower wins.
-    An edge with a repeated vertex raises InvalidArguments.
+    An edge with a repeated vertex raises InvalidArguments, and an id that
+    is not a nonnegative integer InvalidVertex.
     """
+    try:
+        family = [tuple(e) for e in family]
+    except TypeError:
+        raise InvalidArguments(f"family must be an iterable of edges, got {family!r}") from None
+    for e in family:
+        _vertex_ids(e, math.inf)  # no graph bounds the ids from above
     edges = sorted(set(tuple(sorted(e)) for e in family))
     if not edges:
         raise InvalidArguments("family must contain at least one edge")
@@ -685,9 +684,7 @@ def common_neighbor_max(H: LayeredHypergraph, layer: int | None = None) -> int:
         if len(nonempty) > 1:
             raise InvalidArguments(f"multiple nonempty layers {nonempty}; pass layer explicitly")
         layer = nonempty[0]
-    check_integer("layer", layer)
-    if layer not in H.layers:
-        raise InvalidArguments(f"layer {layer} outside 2..{H.k}")
+    check_integer("layer", layer, 2, H.k)
     edges = H.layers[layer]
     _, order, bounds = subset_runs([edges], layer - 1)
     # a run's completions: the c-th (i-1)-subset of an edge omits vertex i-1-c
@@ -733,10 +730,11 @@ def prune_short_cycles(
 
     ``batch`` is None (take every cycle in one pass) or at least 1.
     """
-    check_limit("batch", batch, 1)
+    if batch is not None:
+        check_integer("batch", batch, least=1)
     deleted = {"two_cycle": 0, "linear_three": 0, "clean_four": 0}
     passes = 0
-    order = sorted(set(keep))
+    order = sorted(_vertex_ids(keep, H.n))
     # inducing on every vertex re-adds each edge in the same order, so H serves
     full = order == list(range(H.n)) and all(type(v) is int for v in order)
     base = H if full else H.induce(order)[0]

@@ -1359,13 +1359,14 @@ def replay_akpss_run(H, sched, seed, retries_per_round=16, verify_rounds=False, 
     attempts the attempt with the largest harvest wins.  Streams are derived
     from (seed, "round", m, "attempt", a), so runs are reproducible.
     """
-    from hyperind.algorithms.akpss import RunCertificate, StepState, check_retries
+    from hyperind.algorithms.akpss import MAX_RETRIES, RunCertificate, StepState
     from hyperind.algorithms.regular import cap_excess
+    from hyperind.core import check_integer
     from hyperind.errors import RoundCollapsed
     from hyperind.rng import stream
     from hyperind.structure import check_bouquet
 
-    check_retries("retries_per_round", retries_per_round)
+    check_integer("retries_per_round", retries_per_round, 1, MAX_RETRIES)
     warnings: list[str] = []
     if check_input:
         report = check_bouquet(H)

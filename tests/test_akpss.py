@@ -56,6 +56,18 @@ def test_mu_hand_value():
     assert mu_i_to_j(H, 1, 0.1, 3, 2) == pytest.approx(0.2 / math.e)
 
 
+@pytest.mark.parametrize("x", [-1, 5, 9, 2.0, None, True, "0"])
+def test_contraction_counts_check_the_vertex(x):
+    # -1 once read the last vertex's incidence list, as Python indexing does
+    H = LayeredHypergraph(5, 3)
+    H.add_edge((0, 1, 4))
+    H.add_edge((2, 3, 4))
+    with pytest.raises(InvalidVertex):
+        mu_i_to_j(H, x, 0.5, 3, 2)
+    with pytest.raises(InvalidVertex):
+        deg_i_to_j(H, x, {0, 1}, {2, 3}, 3, 2)
+
+
 def run_one_step(n, seed, collect=False):
     H = LayeredHypergraph(n, 2)
     sched = two_layer_sched(n)

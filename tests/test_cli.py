@@ -63,7 +63,7 @@ def test_check_limit_below_one_exits_2_before_reading(tmp_path, capsys, limit):
         code, out, err = run(capsys, "check", target, "--limit", limit)
         assert code == 2
         assert out == ""
-        assert "--limit must be at least 1" in err
+        assert "--limit must lie in 1.., got" in err
 
 
 def test_schedule_output(capsys):
@@ -170,6 +170,14 @@ def test_solve_missing_parameter(tmp_path, capsys):
     assert "needs --T" in err
 
 
+def test_solve_skips_the_flags_of_other_solvers(tmp_path, capsys):
+    path = tmp_path / "x.hg"
+    run(capsys, "gen", "--kind", "gnp", "--n", 20, "--k", 3, "--p", 0.01, "--out", path)
+    other = ("--samples", 30, "--T", 5, "--d", 2, "--t", 3, "--epsilon", 0.5, "--case", 2, "--strict")
+    code, out, _ = run(capsys, "solve", path, "--algorithm", "greedy", *other)
+    assert code == 0 and "verified" in out
+
+
 def test_gen_missing_parameter(tmp_path, capsys):
     code, _, err = run(
         capsys, "gen", "--kind", "gnp", "--n", 10, "--k", 3,
@@ -269,7 +277,7 @@ def test_schedule_non_finite_T_exit_2(capsys):
     for T in ("inf", "nan"):
         code, _, err = run(capsys, "schedule", "--n", 100, "--k", 3, "--T", T)
         assert code == 2
-        assert "T must be finite" in err
+        assert "T must be a finite real number" in err
         assert "Traceback" not in err
 
 
@@ -309,6 +317,8 @@ MALFORMED_CONFIGS = {
     "params not an object": {"algorithms": [{"algorithm": "greedy", "params": [1]}]},
     "name with a NUL byte": {"name": "a\0b"},
     "name with a directory": {"name": "../up"},
+    "misspelled solver param": {"algorithms": [{"algorithm": "spencer", "params": {"sampels": 50}}]},
+    "misspelled generator param": {"generator_params": {"n": 10, "k": 3, "p": 0.05, "pp": 1}},
 }
 
 
@@ -399,7 +409,7 @@ def test_gen_girth5_bad_t_exits_2_at_small_n(tmp_path, capsys):
     out = tmp_path / "g.hg"
     code, _, err = run(capsys, "gen", "--kind", "girth5", "--n", 2, "--k", 3, "--t", -1, "--out", out)
     assert code == 2
-    assert "finite and positive" in err
+    assert "t must exceed 0" in err
     assert not out.exists()
 
 

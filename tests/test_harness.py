@@ -48,6 +48,23 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"algorithms": [{"algorithm": "spencer", "params": {"sampels": 50}}]}, "sampels"),
+        ({"generator": "girth5", "generator_params": {"n": 30, "k": 3, "t": 2.0, "tt": 3}}, "tt"),
+        ({"algorithms": [{"algorithm": "greedy", "params": {"samples": 20}}]}, "samples"),
+        ({"algorithms": [{"algorithm": "pkm2", "params": {"d": 4.0, "akpss_retries": 4}}]}, "akpss_retries"),
+        ({"algorithms": [{"algorithm": "appA", "params": {"d": 4.0, "delta": None}}]}, "delta"),
+        ({"algorithms": [{"algorithm": "greedy", "prams": {"order": "random"}}]}, "prams"),
+    ],
+)
+def test_config_rejects_names_the_entry_does_not_take(overrides, name):
+    # each once loaded, and the run silently used the defaults
+    with pytest.raises(InvalidArguments, match=name):
+        ExperimentConfig.from_dict(base_config(**overrides))
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_config()), encoding="utf-8")

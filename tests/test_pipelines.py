@@ -79,7 +79,7 @@ def test_real_parameters_are_checked_before_any_work(monkeypatch, bad):
             fn(*args, **kwargs)
 
 
-@pytest.mark.parametrize("field", ["retries", "akpss_retries"])
+@pytest.mark.parametrize("field", ["retries"])
 def test_config_bounds_retries(field):
     PipelineConfig(**{field: MAX_RETRIES})
     for value in (0, -3, MAX_RETRIES + 1, 2.5, True, "3"):
@@ -191,10 +191,6 @@ def test_degree_gap_argument_checks():
         pipeline_degree_gap(H, 4.0, 1, 1, epsilon=0.0)
     with pytest.raises(InvalidArguments):
         pipeline_degree_gap(H, 200.0, 2, 1)  # n/d <= 1
-    with pytest.raises(InvalidArguments):
-        pipeline_degree_gap(
-            H, 4.0, 2, 1, config=PipelineConfig(delta=1 / 32)
-        )  # delta above 1/(4 k^2)
 
 
 def test_degree_gap_case1_forbidden_gap():
