@@ -11,9 +11,15 @@ independent slice I_{m+1}:
   6. contract edges of H~[V* | I] onto V* = V - C - D - W, clean, relabel.
 
 Step 1, with the round caps and the neighbourhood N(B) of step 5, depends on
-H_m and m only, never on the coins: a ``RoundPrep`` does it once per round.
-Steps 2-6 are the per-attempt coin phase of ``akpss_step``, which takes the
-round's RoundPrep or builds its own.
+H_m and m only, never on the coins: a ``RoundPrep`` does it once per round,
+and also keeps each layer of H~ as an int array, its vertex degrees, and B
+and N(B) as boolean masks.  Steps 2-6 are the per-attempt coin phase of
+``akpss_step``, which takes the round's RoundPrep or builds its own.  The
+phase works on boolean vertex masks indexed by those arrays: D from each
+edge's count of unsampled vertices, the deg_{i->j} counts from one bincount
+per (i, j), Z from the mu expression of ``mu_i_to_j`` on the degree vector,
+and the kept edges from the rows inside C | V*, bulk-inserted in edge order.
+``deg_i_to_j`` and ``mu_i_to_j`` stay the per-vertex definitions.
 
 The driver retries each round until the sizes land in the scheduled windows,
 keeps the best attempt otherwise, and verifies the final union against the
@@ -100,9 +106,15 @@ class RoundPrep:
     shared by the round's attempts, which only read it: the round caps lifted
     to H's degrees where H exceeds them (``cap_lifts``), the completion of H
     under those caps (``completed``, its deficient set B as ``irregular``,
-    ``completion`` its info), and N(B) in the completion (``near_irregular``)."""
+    ``completion`` its info), and N(B) in the completion (``near_irregular``).
+    For the coin phase it also holds the completion's layers as arrays
+    (``arrays``), each layer's vertex degrees (``degrees``), and B and N(B)
+    as boolean vertex masks (``irregular_mask``, ``near_mask``)."""
 
-    __slots__ = ("graph", "sched", "m", "cap_lifts", "completed", "irregular", "completion", "near_irregular")
+    __slots__ = (
+        "graph", "sched", "m", "cap_lifts", "completed", "irregular", "completion", "near_irregular",
+        "arrays", "degrees", "irregular_mask", "near_mask",
+    )
 
     def __init__(self, H: LayeredHypergraph, sched: Schedule, m: int):
         k = H.k
@@ -118,6 +130,24 @@ class RoundPrep:
         self.irregular = frozenset(irregular)
         self.near_irregular = frozenset(self.completed.neighborhood(irregular, 1))
         self.graph, self.sched, self.m = H, sched, m
+
+        n = H.n
+        self.arrays = {i: self.completed._layer_array(i) for i in range(2, k + 1)}
+        self.degrees = {i: np.bincount(E.ravel(), minlength=n) for i, E in self.arrays.items()}
+        self.irregular_mask = _mask(self.irregular, n)
+        self.near_mask = _mask(self.near_irregular, n)
+
+
+def _mask(vertices, n: int) -> np.ndarray:
+    """The boolean vertex mask of a set of vertex ids in 0..n-1."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(vertices, dtype=np.intp, count=len(vertices))] = True
+    return mask
+
+
+def _ids(mask: np.ndarray) -> set[int]:
+    """The vertex ids a boolean vertex mask holds, as plain ints."""
+    return set(np.flatnonzero(mask).tolist())
 
 
 def akpss_step(
@@ -156,63 +186,60 @@ def akpss_step(
         p = 1.0
         clamped = True
     if force_sample is None:
-        coins = rng.random(n)
-        sampled = set(int(x) for x in np.nonzero(coins < p)[0])
+        in_c = rng.random(n) < p
+        sampled = _ids(in_c)
+    else:
+        in_c = _mask(sampled, n)
 
-    dominated: set[int] = set()
-    for _, e in H2.edges():
-        missing = [v for v in e if v not in sampled]
-        if not missing:
-            dominated.update(e)
-        elif len(missing) == 1:
-            dominated.add(missing[0])
+    # D: every vertex of an edge inside C, and the one vertex of an edge
+    # that misses C in exactly one
+    in_d = np.zeros(n, dtype=bool)
+    for E in prep.arrays.values():
+        out = ~in_c[E]
+        missing = out.sum(axis=1)
+        in_d[E[missing == 0]] = True
+        one = missing == 1
+        in_d[E[one][out[one]]] = True
 
-    vprime = set(range(n)) - irregular - sampled - dominated
+    in_vprime = ~(prep.irregular_mask | in_c | in_d)
 
-    # One pass over edges accumulates every deg_{i->j}(x) at once.  The
-    # membership requirement is on the link e - {x}, not on x itself, so an
-    # edge with exactly one vertex outside vprime | sampled counts for that
-    # vertex only.
-    deg_ij: dict[tuple[int, int], dict[int, int]] = {}
-    for layer, e in H2.edges():
-        n_v = 0
-        outside: list[int] = []
-        for v in e:
-            if v in vprime:
-                n_v += 1
-            elif v not in sampled:
-                outside.append(v)
-        if len(outside) > 1:
-            continue
-        if len(outside) == 1:
-            x = outside[0]
-            bucket = deg_ij.setdefault((layer, n_v + 1), {})
-            bucket[x] = bucket.get(x, 0) + 1
-        else:
-            for v in e:
-                j = n_v + 1 - (1 if v in vprime else 0)
-                bucket = deg_ij.setdefault((layer, j), {})
-                bucket[v] = bucket.get(v, 0) + 1
+    # deg_{i->j}(x) counts layer-i edges at x whose link e - {x} lies inside
+    # V' | C with j-1 vertices in V'.  An edge with exactly one vertex
+    # outside V' | C counts for that vertex only; an edge with none counts
+    # for each of its vertices.  Keys go in ascending (i, j) order.
+    deg_ij: dict[tuple[int, int], np.ndarray] = {}
+    for i, E in prep.arrays.items():
+        in_v = in_vprime[E]
+        outside = ~(in_v | in_c[E])
+        n_v = in_v.sum(axis=1)
+        n_out = outside.sum(axis=1)
+        one, none = n_out == 1, n_out == 0
+        x = np.concatenate((E[one][outside[one]], E[none].ravel()))
+        j = np.concatenate((n_v[one] + 1, (n_v[none][:, None] + 1 - in_v[none]).ravel()))
+        for jj in np.unique(j).tolist():
+            deg_ij[i, jj] = np.bincount(x[j == jj], minlength=n)
 
+    # Z: vertices outside N(B) | C whose deg_{i->j}, j >= 2, exceeds
+    # (1 + eps/4)^2 mu_{i->j}, with mu in mu_i_to_j's operand order
     thresh_factor = (1.0 + eps / 4.0) ** 2
-    overflow: set[int] = set()
-    z_domain = set(range(n)) - nb - sampled
-    for (i, j), bucket in sorted(deg_ij.items()):
-        if j < 2:
-            continue
-        for x, value in bucket.items():
-            if x in z_domain and value > thresh_factor * mu_i_to_j(H2, x, p, i, j):
-                overflow.add(x)
+    in_z = np.zeros(n, dtype=bool)
+    for (i, j), counts in deg_ij.items():
+        if j >= 2:
+            mu = math.comb(i - 1, j - 1) * prep.degrees[i] * p ** (i - j) * math.e ** (1 - j)
+            in_z |= counts > thresh_factor * mu
+    in_z &= ~(prep.near_mask | in_c)
 
-    waste = nb | overflow
-    independent = sampled - dominated - waste
-    survivors = set(range(n)) - sampled - dominated - waste
+    in_w = prep.near_mask | in_z
+    in_i = in_c & ~in_d & ~in_w
+    in_s = ~(in_c | in_d | in_w)
+    dominated, overflow, waste = _ids(in_d), _ids(in_z), _ids(in_w)
+    independent, survivors = _ids(in_i), _ids(in_s)
 
-    keep = survivors | independent
+    keep = in_s | in_i
     sub = LayeredHypergraph(n, k)
-    for layer, e in H2.edges():
-        if all(v in keep for v in e):
-            sub.add_edge(e)
+    for i, E in prep.arrays.items():
+        edges = H2.layers[i]
+        sub._extend_layer(i, [edges[r] for r in np.flatnonzero(keep[E].all(axis=1)).tolist()])
     bag, cleaned = contract(sub, survivors)
     H_next, old_to_new = cleaned.induce(sorted(survivors))
 
@@ -223,19 +250,20 @@ def akpss_step(
         "completion": prep.completion,
         "completed_edges": H2.num_edges(),
         "sampled_raw": len(sampled),
-        "independent_pre_waste": len(sampled - irregular - dominated),
-        "vprime": len(vprime),
+        "independent_pre_waste": int(np.count_nonzero(in_c & ~prep.irregular_mask & ~in_d)),
+        "vprime": int(np.count_nonzero(in_vprime)),
         "neighborhood_irregular": len(nb),
         "bag_edges": len(bag.edges),
         "bag_dropped_small": bag.dropped_small,
         "cleaned_edges": cleaned.num_edges(),
-        "deg_ij_max": {
-            key: max(bucket.values()) for key, bucket in sorted(deg_ij.items())
-        },
+        "deg_ij_max": {key: int(counts.max()) for key, counts in deg_ij.items()},
     }
     if collect_contraction_data:
-        diagnostics["deg_ij"] = deg_ij
-        diagnostics["vprime_set"] = frozenset(vprime)
+        diagnostics["deg_ij"] = {
+            key: {x: int(counts[x]) for x in np.flatnonzero(counts).tolist()}
+            for key, counts in deg_ij.items()
+        }
+        diagnostics["vprime_set"] = frozenset(_ids(in_vprime))
         diagnostics["completed"] = H2
 
     state = StepState(

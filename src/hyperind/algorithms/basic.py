@@ -42,22 +42,26 @@ def spencer_set(
     if s <= 0:
         return ()
 
-    all_edges = [set(e) for _, e in H.edges()]
+    # a sample spans the rows of a layer's array that its mask holds whole
+    arrays = [H._layer_array(i) for i, cnt in sizes.items() if cnt > 0]
     best: np.ndarray | None = None
-    best_spanned: list[set[int]] | None = None
+    best_rows: list[np.ndarray] = []
+    best_count = -1
     for _ in range(samples):
         pick = rng.choice(n, size=s, replace=False)
-        pick_set = set(int(v) for v in pick)
-        spanned = [e for e in all_edges if e <= pick_set]
-        if best_spanned is None or len(spanned) < len(best_spanned):
-            best = pick
-            best_spanned = spanned
+        mask = np.zeros(n, dtype=bool)
+        mask[pick] = True
+        rows = [mask[E].all(axis=1) for E in arrays]
+        count = sum(int(np.count_nonzero(r)) for r in rows)
+        if best is None or count < best_count:
+            best, best_rows, best_count = pick, rows, count
 
-    assert best is not None and best_spanned is not None
-    keep = set(int(v) for v in best)
-    for e in sorted(best_spanned, key=sorted):
-        if e <= keep:
-            keep.discard(min(e))
+    assert best is not None
+    keep = set(best.tolist())
+    spanned = sorted(tuple(e) for E, rows in zip(arrays, best_rows) for e in E[rows].tolist())
+    for e in spanned:  # sorted tuples: e[0] is the edge's lowest vertex
+        if keep.issuperset(e):
+            keep.discard(e[0])
     return tuple(sorted(keep))
 
 

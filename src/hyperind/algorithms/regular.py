@@ -11,6 +11,11 @@ tested against the union of the chosen vertices' N^2.  In layer 2 every edge
 added while x is the smallest deficient vertex contains x, and distances and
 the deficient set only shrink, so x's next partner is never before its last
 one: one cursor walks the candidates, and adding {x, y} grows N^2[x] by N[y].
+
+The walk reads only its own degree counts and neighbourhoods, never the
+graph, so each layer's new edges are collected and inserted with one
+``_extend_layer``: the chosen vertices are ascending, pairwise at distance
+>= 4 and deficient, so every edge is sorted, distinct and new.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ def almost_regular_complete(
         order = sorted(deficient)  # deficient only shrinks: skip stale entries
         head = 0
         lead = cursor = -1  # layer 2: x's ball and next partner survive its edges
+        new_edges = []
         while len(deficient) >= i:
             while order[head] not in deficient:
                 head += 1
@@ -113,8 +119,7 @@ def almost_regular_complete(
                     excluded |= ball(y)
             else:
                 break
-            H2.add_edge(chosen)
-            added[i] += 1
+            new_edges.append(tuple(chosen))
             for v in chosen:
                 near[v].update(chosen)
                 deg[i][v] += 1
@@ -123,6 +128,8 @@ def almost_regular_complete(
             if i == 2:
                 lead, cursor = x, pos + 1
                 excluded |= near[y]
+        H2._extend_layer(i, new_edges)
+        added[i] = len(new_edges)
         if deficient:
             stalled.append(i)
 

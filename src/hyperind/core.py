@@ -7,12 +7,13 @@ three mutators: ``add_edge``, ``_extend_layer`` (its unchecked bulk form for
 edges known to be valid and new) and ``pop_edge``.  Code outside them reads
 ``layers`` and ``incidence`` and never writes them.
 
-Every query below is read-only, apart from one memo: ``_layer_runs`` keeps the
-l-subset runs of a layer (``subset_runs``) per (layer, l), stamped with the
-layer's length.  ``add_edge`` and ``_extend_layer`` only lengthen a layer, so
-they outdate its entries without touching the memo; ``pop_edge`` can bring a
-length back with other edges, so it clears the memo.  Two threads filling one
-entry store equal values, so the queries stay safe to call concurrently.
+Every query below is read-only, apart from one memo, stamped with the layer's
+length: ``_layer_array`` keeps each layer as an int array under (layer, 0), and
+``_layer_runs`` keeps the l-subset runs of a layer (``subset_runs``) under
+(layer, l).  ``add_edge`` and ``_extend_layer`` only lengthen a layer, so they
+outdate its entries without touching the memo; ``pop_edge`` can bring a length
+back with other edges, so it clears the memo.  Two threads filling one entry
+store equal values, so the queries stay safe to call concurrently.
 
 The on-disk format is line-oriented:
 
@@ -158,8 +159,9 @@ class LayeredHypergraph:
         self._edge_sets: dict[int, set[Edge]] = {i: set() for i in range(2, k + 1)}
         # vertex -> list of (layer, index into layers[layer])
         self.incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # (layer, 0) -> (layer length, the layer's array); see _layer_array
         # (layer, ell) -> (layer length, subset_runs of the layer); see _layer_runs
-        self._runs: dict[tuple[int, int], tuple[int, tuple]] = {}
+        self._runs: dict[tuple[int, int], tuple] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -319,9 +321,24 @@ class LayeredHypergraph:
         if ell == 0:
             m = len(edges)
             return (m, m)
+        if ell == 1:  # every vertex counted, so the min sees uncovered ones
+            counts = np.bincount(self._layer_array(layer).ravel(), minlength=self.n)
+            return (int(counts.max()), int(counts.min()))
         counts = np.diff(self._layer_runs(layer, ell)[2])
         covered = len(counts) == math.comb(self.n, ell)  # every ell-subset lies in an edge
         return (int(counts.max()), int(counts.min()) if covered else 0)
+
+    def _layer_array(self, layer: int) -> np.ndarray:
+        """One layer as a read-only (edges, layer) int64 array, row r edge r,
+        built once per graph state (see the module docstring)."""
+        edges = self.layers[layer]
+        hit = self._runs.get((layer, 0))
+        if hit is not None and hit[0] == len(edges):
+            return hit[1]
+        array = np.array(edges, dtype=np.int64).reshape(len(edges), layer)
+        array.flags.writeable = False
+        self._runs[layer, 0] = (len(edges), array)
+        return array
 
     def _layer_runs(self, layer: int, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``subset_runs`` of one layer's ell-subsets, counted once per graph

@@ -252,7 +252,9 @@ def list_two_cycles(H: LayeredHypergraph, ell: int | None = None, limit: int | N
 
 
 def count_two_cycles(H: LayeredHypergraph, ell: int) -> int:
-    """Exact number of unordered edge pairs sharing exactly ell vertices."""
+    """Exact number of unordered edge pairs sharing exactly ell vertices;
+    InvalidArguments unless ell is an integer of at least 2."""
+    check_integer("ell", ell, least=2)
     return sum(1 for _ in _two_cycle_iter(H, ell))
 
 

@@ -1487,3 +1487,50 @@ def replay_akpss_run(H, sched, seed, retries_per_round=16, verify_rounds=False, 
         },
         warnings=warnings,
     )
+
+
+# -- sample-and-delete before it scored samples on the layer arrays -----------
+#
+# A verbatim copy, renamed: ``spencer_set`` as it was while each sample was
+# scored by testing every edge's vertex set against the sample's set.
+
+
+def replay_spencer_set(H, rng, samples=20):
+    """Sample-and-delete: draw vertex subsets of size ~ n / d^(1/(k-1)),
+    keep the one spanning the fewest edges, then delete one vertex per
+    spanned edge.
+
+    The target size uses the average degree d = k * |H| / n, where k is the
+    largest uniformity that actually carries edges.  With d = 0 the whole
+    vertex set is independent and is returned as-is.
+    """
+    n = H.n
+    if n == 0:
+        return ()
+    m_edges = H.num_edges()
+    if m_edges == 0:
+        return tuple(range(n))
+    sizes = H.layer_sizes()
+    k = max(i for i, cnt in sizes.items() if cnt > 0)
+    d = k * m_edges / n
+    s = min(n, int(n / d ** (1.0 / (k - 1))))
+    if s <= 0:
+        return ()
+
+    all_edges = [set(e) for _, e in H.edges()]
+    best = None
+    best_spanned = None
+    for _ in range(samples):
+        pick = rng.choice(n, size=s, replace=False)
+        pick_set = set(int(v) for v in pick)
+        spanned = [e for e in all_edges if e <= pick_set]
+        if best_spanned is None or len(spanned) < len(best_spanned):
+            best = pick
+            best_spanned = spanned
+
+    assert best is not None and best_spanned is not None
+    keep = set(int(v) for v in best)
+    for e in sorted(best_spanned, key=sorted):
+        if e <= keep:
+            keep.discard(min(e))
+    return tuple(sorted(keep))

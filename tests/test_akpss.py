@@ -9,20 +9,23 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperind.algorithms.akpss as akpss_module
+import hyperind.algorithms.regular as regular_module
 from hyperind.algorithms import akpss_run, akpss_step, deg_i_to_j, mu_i_to_j
 from hyperind.algorithms.akpss import MAX_RETRIES, RoundPrep
 from hyperind.algorithms.regular import almost_regular_complete
 from hyperind.core import LayeredHypergraph
 from hyperind.errors import InvalidArguments, InvalidVertex, PreconditionFailed, RoundCollapsed
-from hyperind.generators import gen_layered_bouquet
+from hyperind.generators import gen_girth5, gen_layered_bouquet
 from hyperind.rng import stream
 from hyperind.schedule import build_schedule
 from hyperind.structure import check_bouquet
 
-from oracles import replay_akpss_run, replay_almost_regular_complete
+from oracles import replay_akpss_run, replay_akpss_step, replay_almost_regular_complete
 
 
 def two_layer_sched(n=1000):
@@ -342,3 +345,75 @@ def test_certificate_serialization_round_trip():
     assert d["independent_set"] == list(cert.independent_set)
     assert d["verified"] is True
     assert isinstance(d["rounds"], list)
+
+
+STEP_INSTANCES = {
+    "edgeless-k2": lambda rng: LayeredHypergraph(int(rng.integers(50, 400)), 2),
+    "bouquet-k3": lambda rng: gen_layered_bouquet(60, 3, {2: 15, 3: 20}, rng, max_stall=40)[0],
+    "bouquet-k4": lambda rng: gen_layered_bouquet(60, 4, {2: 10, 3: 12, 4: 12}, rng, max_stall=40)[0],
+    "girth5-k3": lambda rng: gen_girth5(60, 3, 2.0, rng)[0],
+}
+
+
+def _no_completion(H, vertex_caps, pair_caps=None, check_input=True):
+    """H itself with B empty: at k >= 3 the real completion leaves B = V at
+    this size, so only this one reaches V', the deg_{i->j} counts and Z."""
+    return H.copy(), set(), {"completion": "none"}
+
+
+def _step_outcome(step, H, sched, m, seed, force, collect):
+    try:
+        H_next, relabel, state = step(H, sched, m, stream(seed, "step-replay"), force, collect)
+    except RoundCollapsed as exc:
+        return "collapsed", exc.state
+    return (H_next.n, H_next.layers), relabel, state
+
+
+@given(
+    st.sampled_from(sorted(STEP_INSTANCES)),
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+    st.sampled_from([None, 0.0, 0.05, 0.3, 0.9]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_step_matches_python_pass_replay(kind, seed, complete, forced_density, collect):
+    # the mask phase against the four Python passes over the completion, on
+    # coins and on forced samples, with and without the contraction data
+    rng = np.random.default_rng(seed)
+    H = STEP_INSTANCES[kind](rng)
+    sched = build_schedule(H.n, math.e ** H.k, H.k)
+    m = int(rng.integers(0, sched.M))
+    force = None
+    if forced_density is not None:
+        force = set(np.flatnonzero(rng.random(H.n) < forced_density).tolist())
+    saved = akpss_module.almost_regular_complete, regular_module.almost_regular_complete
+    if not complete:
+        akpss_module.almost_regular_complete = regular_module.almost_regular_complete = _no_completion
+    try:
+        got = _step_outcome(akpss_step, H, sched, m, seed, force, collect)
+        expect = _step_outcome(replay_akpss_step, H, sched, m, seed, force, collect)
+    finally:
+        akpss_module.almost_regular_complete, regular_module.almost_regular_complete = saved
+    assert got == expect
+
+    # Z from its per-vertex definition: outside N(B) | C, some j >= 2 with
+    # deg_{i->j}(x) > (1 + eps/4)^2 mu_{i->j}(x)
+    state = got[-1]
+    if collect:
+        H2 = state.diagnostics["completed"]
+        vprime = set(state.diagnostics["vprime_set"])
+        sampled, p = set(state.sampled), state.diagnostics["p"]
+        near = H2.neighborhood(state.irregular, 1)
+        factor = (1.0 + sched.epsilon / 4.0) ** 2
+        overflow = {
+            x
+            for x in range(H2.n)
+            if x not in near and x not in sampled
+            and any(
+                deg_i_to_j(H2, x, vprime, sampled, i, j) > factor * mu_i_to_j(H2, x, p, i, j)
+                for i in range(2, H2.k + 1)
+                for j in range(2, i + 1)
+            )
+        }
+        assert state.overflow == overflow

@@ -12,7 +12,7 @@ from hyperind.errors import HyperindError, InvalidArguments, PreconditionFailed
 from hyperind.generators import gen_disjoint_cliques, gen_gnp, gen_layered_bouquet
 from hyperind.rng import stream
 
-from oracles import brute_alpha, replay_almost_regular_complete
+from oracles import brute_alpha, replay_almost_regular_complete, replay_spencer_set
 
 
 def assert_independent(H, vertices):
@@ -115,6 +115,25 @@ def test_spencer_deterministic_per_seed():
     a = spencer_set(H, stream(3, "sp-run"))
     b = spencer_set(H, stream(3, "sp-run"))
     assert a == b
+
+
+SPENCER_INSTANCES = {
+    # a rough 4-uniform draw, far from the bouquet conditions
+    "rough-k4": lambda rng: gen_gnp(120, 4, 150 / math.comb(120, 4), rng),
+    "bouquet-mixed": lambda rng: gen_layered_bouquet(50, 4, {2: 12, 3: 12, 4: 12}, rng, max_stall=40)[0],
+    "dense-tiny": lambda rng: gen_gnp(int(rng.integers(4, 11)), 3, float(rng.uniform(0.3, 1.0)), rng),
+}
+
+
+@given(st.sampled_from(sorted(SPENCER_INSTANCES)), st.integers(0, 2**31 - 1), st.sampled_from([20, 33]))
+@settings(max_examples=60, deadline=None)
+def test_spencer_matches_edge_set_replay(kind, seed, samples):
+    # the same draws, best sample and deletions as the loop that tested every
+    # edge's vertex set against each sample
+    H = SPENCER_INSTANCES[kind](stream(seed, "spencer-input"))
+    got = spencer_set(H, stream(seed, "spencer-replay"), samples)
+    assert got == replay_spencer_set(H, stream(seed, "spencer-replay"), samples)
+    assert_independent(H, got)
 
 
 def bouquet_input(seed, n=60, k=4, counts=None):

@@ -130,7 +130,7 @@ CASES = {
     ),
     "list_two_cycles limit": (OPTIONAL_INTEGER + (-1,), G, lambda v: list_two_cycles(G, limit=v)),
     "list_two_cycles ell": (OPTIONAL_INTEGER + (1,), G, lambda v: list_two_cycles(G, ell=v)),
-    "count_two_cycles ell": (OPTIONAL_INTEGER + (1,), G, lambda v: count_two_cycles(G, v)),
+    "count_two_cycles ell": (INTEGER + (1,), G, lambda v: count_two_cycles(G, v)),
     "find_linear_three_cycles limit": (OPTIONAL_INTEGER + (-1,), G, lambda v: find_linear_three_cycles(G, v)),
     "find_clean_four_cycles limit": (OPTIONAL_INTEGER + (-1,), G, lambda v: find_clean_four_cycles(G, v)),
     "check_property_vprime limit": (OPTIONAL_INTEGER + (-1,), G, lambda v: check_property_vprime(G, v)),

@@ -12,6 +12,7 @@ from hyperind.core import (
     LayeredHypergraph,
     contract,
     read_file,
+    subset_runs,
     write_file,
 )
 from hyperind.errors import (
@@ -203,6 +204,51 @@ def test_pop_then_add_recounts_the_layer():
     H.pop_edge(3)
     H.add_edge((0, 1, 3))
     assert H.max_min_degree(3, 1) == replay_max_min_degree(H, 3, 1) == (2, 0)
+
+
+@pytest.mark.parametrize("kind", ["covered", "uncovered", "empty"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_vertex_degrees_match_the_subset_run_count(kind, k):
+    # ell = 1 counts with one bincount of the layer array; the subset runs
+    # give the same (max, min), with min 0 unless every vertex is covered
+    rng = stream(k, "core-bincount", kind)
+    n = 3 * k + (kind == "uncovered")  # the extra vertex lies in no edge
+    H = LayeredHypergraph(n, k)
+    if kind != "empty":
+        for start in range(0, 3 * k, k):
+            H.add_edge(tuple(range(start, start + k)))
+        for _ in range(8):
+            H.add_edge(tuple(int(v) for v in rng.choice(3 * k, size=k, replace=False)))
+    elif k > 2:
+        H.add_edge((0, 1))  # edges in another layer only
+    expect = (0, 0)
+    if kind != "empty":
+        counts = np.diff(subset_runs([H.layers[k]], 1)[2])
+        assert (len(counts) == n) == (kind == "covered")
+        expect = (int(counts.max()), int(counts.min()) if kind == "covered" else 0)
+    assert H.max_min_degree(k, 1) == expect == replay_max_min_degree(H, k, 1)
+
+
+def test_layer_array_goes_stale_with_every_mutator():
+    H = LayeredHypergraph(6, 3)
+
+    def fresh(layer):
+        array = H._layer_array(layer)
+        assert not array.flags.writeable
+        assert array.dtype == np.int64 and array.shape == (len(H.layers[layer]), layer)
+        assert array.tolist() == [list(e) for e in H.layers[layer]]
+        return array
+
+    empty = fresh(3)
+    assert fresh(3) is empty  # memoised while the layer stands still
+    H.add_edge((0, 1, 2))
+    assert fresh(3).tolist() == [[0, 1, 2]]
+    H._extend_layer(3, [(1, 2, 3), (3, 4, 5)])
+    assert fresh(3).tolist() == [[0, 1, 2], [1, 2, 3], [3, 4, 5]]
+    assert fresh(2).shape == (0, 2)
+    H.pop_edge(3)
+    H.add_edge((0, 4, 5))  # back at the length the memo entry was stamped with
+    assert fresh(3).tolist() == [[0, 1, 2], [1, 2, 3], [0, 4, 5]]
 
 
 def test_max_min_degree_argument_checks():
